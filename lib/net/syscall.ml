@@ -36,11 +36,6 @@ let fast_costs =
 type env = {
   net : Net.t;
   costs : costs;
-  (* Burst charging on ([Host.charge_span]) or off (per-charge
-     [use_cpu] loop).  The two are observationally identical — the
-     toggle exists so the equivalence tests can run both modes and
-     compare traces byte for byte. *)
-  mutable burst : bool;
   (* Receive-side batching: when on, demux loops follow a successful
      select with a [pending]-guarded drain, paying one select per
      backlog instead of one per datagram.  Off by default — the drain
@@ -49,34 +44,16 @@ type env = {
   mutable recv_drain : bool;
 }
 
-let make net ?(costs = default_costs) () =
-  { net; costs; burst = true; recv_drain = false }
+let make net ?(costs = default_costs) () = { net; costs; recv_drain = false }
 
 let net env = env.net
 let costs env = env.costs
-let set_burst env flag = env.burst <- flag
-let burst_charging env = env.burst
 let set_recv_drain env flag = env.recv_drain <- flag
 let recv_drain env = env.recv_drain
 
 let charge _env ?meter host ~name cost = Host.use_cpu host ?meter ~kind:(`Kernel name) cost
 
-(* Generic burst entry: the run of charges [use_cpu host ~kind:(kind i)
-   (cost i)] with per-element [before]/[after] hooks, routed through
-   [Host.charge_span] when burst charging is enabled (the default) or
-   through the literal per-charge loop otherwise.  Same schedule either
-   way; see [Host.charge_span]. *)
 let no_hook (_ : int) = ()
-
-let charge_burst env ?meter host ~n ?(before = no_hook) ~kind ~cost
-    ?(after = no_hook) () =
-  if env.burst then Host.charge_span host ?meter ~n ~before ~kind ~cost ~after ()
-  else
-    for i = 0 to n - 1 do
-      before i;
-      Host.use_cpu host ?meter ~kind:(kind i) (cost i);
-      after i
-    done
 
 let sendmsg env ?meter sock ~dst payload =
   charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.costs.sendmsg;
@@ -100,7 +77,7 @@ let sendmsg_vec env ?meter ?(before = no_hook) ?user_cost
   let sendmsg_cost = env.costs.sendmsg in
   match user_cost with
   | None ->
-    charge_burst env ?meter host ~n:(Array.length payloads)
+    Host.charge_span host ?meter ~n:(Array.length payloads)
       ~before:(fun i ->
         before i;
         on_segment i)
@@ -113,7 +90,7 @@ let sendmsg_vec env ?meter ?(before = no_hook) ?user_cost
        user-time charge (with [on_segment i] at its end instant),
        element [2i+1] its kernel send charge (with the injection at its
        end instant). *)
-    charge_burst env ?meter host
+    Host.charge_span host ?meter
       ~n:(2 * Array.length payloads)
       ~before:(fun j -> if j land 1 = 0 then before (j lsr 1))
       ~kind:(fun j -> if j land 1 = 0 then `User else `Kernel "sendmsg")
@@ -137,13 +114,13 @@ let sendmsg_multicast_vec env ?meter ?user_cost ?(on_segment = no_hook) sock
   let sendmsg_cost = env.costs.sendmsg in
   match user_cost with
   | None ->
-    charge_burst env ?meter host ~n:(Array.length payloads) ~before:on_segment
+    Host.charge_span host ?meter ~n:(Array.length payloads) ~before:on_segment
       ~kind:(fun _ -> `Kernel "sendmsg")
       ~cost:(fun _ -> sendmsg_cost)
       ~after:(fun i -> Net.send_multicast net ~src ~dsts payloads.(i))
       ()
   | Some u ->
-    charge_burst env ?meter host
+    Host.charge_span host ?meter
       ~n:(2 * Array.length payloads)
       ~kind:(fun j -> if j land 1 = 0 then `User else `Kernel "sendmsg")
       ~cost:(fun j -> if j land 1 = 0 then u else sendmsg_cost)

@@ -77,9 +77,6 @@ let default_uncaught fiber e =
   Printf.eprintf "fiber %d (%s): uncaught exception\n%!" fiber.id fiber.label_;
   raise e
 
-let uncaught_handler = ref default_uncaught
-let set_uncaught_handler f = uncaught_handler := f
-
 let finish fiber =
   if Trace.on () then Trace.emit ~cat:"fiber" ~fiber:fiber.id "end";
   fiber.state <- Terminated;
@@ -103,7 +100,7 @@ let spawn engine ?(label = "fiber") f =
       exnc =
         (fun e ->
           finish fiber;
-          match e with Cancelled -> () | e -> !uncaught_handler fiber e);
+          match e with Cancelled -> () | e -> default_uncaught fiber e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with

@@ -22,9 +22,9 @@ exception Cancelled
 
 val spawn : Engine.t -> ?label:string -> (unit -> unit) -> t
 (** [spawn engine f] creates a fiber that starts running [f] when the
-    engine next reaches the current instant.  Uncaught exceptions other
-    than {!Cancelled} are passed to the handler installed with
-    {!set_uncaught_handler} (default: re-raise, aborting the run). *)
+    engine next reaches the current instant.  An uncaught exception
+    other than {!Cancelled} is reported on stderr with the fiber's id
+    and label, then re-raised, aborting the run. *)
 
 val self : unit -> t
 (** The currently executing fiber. *)
@@ -86,5 +86,3 @@ val on_terminate : t -> (unit -> unit) -> unit
 (** Register a callback run when the fiber terminates; runs immediately
     if it already has. *)
 
-val set_uncaught_handler : (t -> exn -> unit) -> unit
-(** Install a global handler for exceptions escaping fiber bodies. *)

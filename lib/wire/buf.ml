@@ -8,32 +8,35 @@ let contents w = Buffer.to_bytes w
 let writer_length = Buffer.length
 let reset = Buffer.clear
 
-(* One process-wide scratch writer, reused across encodes: [contents]
+(* One scratch writer per domain, reused across encodes: [contents]
    copies into fresh bytes, so handing the same underlying storage to
    consecutive encoders is safe and removes the per-datagram
-   [Buffer.create].  The simulator is single-threaded; the [busy]
-   flag only guards *reentrant* use (an encoder that itself encodes),
-   which falls back to a fresh writer. *)
-let scratch = Buffer.create 256
-let scratch_busy = ref false
+   [Buffer.create].  The parallel engine runs logical processes on
+   several domains at once, so the scratch is domain-local; within a
+   domain the [busy] flag guards *reentrant* use (an encoder that
+   itself encodes), which falls back to a fresh writer. *)
+type scratch = { buf : Buffer.t; mutable busy : bool }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { buf = Buffer.create 256; busy = false })
 
 let with_writer f =
-  if !scratch_busy then begin
+  let s = Domain.DLS.get scratch_key in
+  if s.busy then begin
     let w = writer () in
     f w;
     Buffer.to_bytes w
   end
   else begin
-    scratch_busy := true;
+    s.busy <- true;
     Fun.protect
       ~finally:(fun () ->
-        scratch_busy := false;
+        s.busy <- false;
         (* Don't let one oversized datagram pin a huge buffer. *)
-        if Buffer.length scratch > 1 lsl 20 then Buffer.reset scratch)
+        if Buffer.length s.buf > 1 lsl 20 then Buffer.reset s.buf)
       (fun () ->
-        Buffer.clear scratch;
-        f scratch;
-        Buffer.to_bytes scratch)
+        Buffer.clear s.buf;
+        f s.buf;
+        Buffer.to_bytes s.buf)
   end
 
 (* All writers append directly into the Buffer's storage; no per-call

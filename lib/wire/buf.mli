@@ -17,8 +17,9 @@ val reset : writer -> unit
 (** Empty the writer, keeping its internal storage for reuse. *)
 
 val with_writer : (writer -> unit) -> bytes
-(** [with_writer f] runs [f] against a process-wide scratch writer and
-    returns the encoded bytes (always freshly copied, never aliased).
+(** [with_writer f] runs [f] against the calling domain's scratch
+    writer and returns the encoded bytes (always freshly copied, never
+    aliased).  Safe to call from several domains at once.
     This is the hot-path encode entry point: it skips the per-call
     buffer allocation of {!writer}.  Reentrant calls (an encoder that
     itself encodes) transparently fall back to a fresh writer, and the

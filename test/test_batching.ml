@@ -1,9 +1,10 @@
-(* Tests for the tick-boundary datagram batcher ([Net.set_batching]):
-   coalescing of same-instant copies, byte-identical traces across
-   equal-seed batched runs (pairmsg and rpc), equivalence of the
-   application-visible message sequence with the unbatched path under
-   loss / duplication / extra delay, and a steady-state allocation
-   budget on the replicated-call hot path. *)
+(* Transport-path tests: byte-identical traces across equal-seed runs
+   under loss and duplication (pairmsg and rpc), burst charging
+   ([Host.charge_span]) against a hand-written per-charge
+   [Host.use_cpu] loop, the [sendmsg_vec] exception contract, burst
+   charging across the sharded cluster at domains {1,2,4} with a chaos
+   plan running, and a steady-state allocation budget on the
+   replicated-call hot path. *)
 
 open Circus_sim
 open Circus_net
@@ -13,123 +14,14 @@ module Trace = Circus_trace.Trace
 module Export = Circus_trace.Export
 
 (* ------------------------------------------------------------------ *)
-(* Coalescing: same-instant copies to one destination ride one event. *)
+(* Equal seeds => byte-identical traces (pairmsg). *)
 
-(* Zero jitter and zero per-byte time so every copy injected at one
-   instant arrives at one instant — the only configuration where
-   grouping is observable as an event-count difference. *)
-let zero_jitter = { Net.default_params with jitter_mean = 0.0; per_byte = 0.0 }
-
-let send_burst ~batching () =
-  let engine = Engine.create () in
-  let net = Net.create engine ~params:zero_jitter () in
-  let a = Net.add_host net ~name:"a" () in
-  let b = Net.add_host net ~name:"b" () in
-  let c = Net.add_host net ~name:"c" () in
-  let sa = Net.udp_bind net a ~port:10 () in
-  let sb = Net.udp_bind net b ~port:10 () in
-  let sc = Net.udp_bind net c ~port:10 () in
-  Net.set_batching net batching;
-  let src = Net.socket_addr sa in
-  List.iter
-    (fun (dst, payload) -> Net.send net ~src ~dst (Bytes.of_string payload))
-    [ (Net.socket_addr sb, "1");
-      (Net.socket_addr sb, "2");
-      (Net.socket_addr sb, "3");
-      (Net.socket_addr sc, "x") ];
-  (* [pending] flushes the batcher before counting, so this is the
-     number of delivery events actually carrying the four copies. *)
-  let events = Engine.pending engine in
-  Engine.run engine;
-  let drain sock =
-    let rec go acc =
-      match Mailbox.try_recv (Net.mailbox sock) with
-      | Some d -> go (Bytes.to_string d.Net.payload :: acc)
-      | None -> List.rev acc
-    in
-    go []
-  in
-  (events, drain sb, drain sc, (Net.stats net).delivered)
-
-let test_batch_coalesces_same_instant () =
-  let ev_b, to_b_b, to_c_b, delivered_b = send_burst ~batching:true () in
-  let ev_u, to_b_u, to_c_u, delivered_u = send_burst ~batching:false () in
-  Alcotest.(check int) "unbatched: one event per copy" 4 ev_u;
-  (* All four copies share the zero-jitter arrival instant, so the
-     whole burst — including the cross-destination fan-out to c —
-     rides one delivery event. *)
-  Alcotest.(check int) "batched: one event per arrival instant" 1 ev_b;
-  Alcotest.(check int) "batched delivers all copies" 4 delivered_b;
-  Alcotest.(check int) "unbatched delivers all copies" 4 delivered_u;
-  Alcotest.(check (list string)) "batched order = send order" [ "1"; "2"; "3" ] to_b_b;
-  Alcotest.(check (list string)) "unbatched order = send order" [ "1"; "2"; "3" ] to_b_u;
-  Alcotest.(check (list string)) "second destination batched" [ "x" ] to_c_b;
-  Alcotest.(check (list string)) "second destination unbatched" [ "x" ] to_c_u
-
-(* Multicast fan-out: under zero jitter all copies of one transmission
-   share the arrival instant, so the whole fan-out — distinct
-   destinations included — must ride a single delivery event. *)
-let test_multicast_fanout_coalesces () =
-  let fanout ~batching =
-    let engine = Engine.create () in
-    let net = Net.create engine ~params:zero_jitter () in
-    let a = Net.add_host net ~name:"a" () in
-    let sa = Net.udp_bind net a ~port:10 () in
-    let dsts =
-      List.init 3 (fun i ->
-          let h = Net.add_host net ~name:(Printf.sprintf "m%d" i) () in
-          Net.udp_bind net h ~port:10 ())
-    in
-    Net.set_batching net batching;
-    Net.send_multicast net ~src:(Net.socket_addr sa)
-      ~dsts:(List.map Net.socket_addr dsts)
-      (Bytes.of_string "mc");
-    let events = Engine.pending engine in
-    Engine.run engine;
-    let received =
-      List.map
-        (fun s ->
-          match Mailbox.try_recv (Net.mailbox s) with
-          | Some d -> Bytes.to_string d.Net.payload
-          | None -> "")
-        dsts
-    in
-    (events, received)
-  in
-  let ev_b, rx_b = fanout ~batching:true in
-  let ev_u, rx_u = fanout ~batching:false in
-  Alcotest.(check int) "unbatched: one event per destination" 3 ev_u;
-  Alcotest.(check int) "batched: whole fan-out on one event" 1 ev_b;
-  Alcotest.(check (list string)) "batched fan-out delivered" [ "mc"; "mc"; "mc" ] rx_b;
-  Alcotest.(check (list string)) "unbatched fan-out delivered" [ "mc"; "mc"; "mc" ] rx_u
-
-let test_disable_flushes_buffered () =
-  let engine = Engine.create () in
-  let net = Net.create engine ~params:zero_jitter () in
-  let a = Net.add_host net ~name:"a" () in
-  let b = Net.add_host net ~name:"b" () in
-  let sa = Net.udp_bind net a ~port:10 () in
-  let sb = Net.udp_bind net b ~port:10 () in
-  Net.set_batching net true;
-  Net.send net ~src:(Net.socket_addr sa) ~dst:(Net.socket_addr sb) (Bytes.of_string "y");
-  Net.set_batching net false;
-  Alcotest.(check bool) "batching reads off" false (Net.batching net);
-  Engine.run engine;
-  match Mailbox.try_recv (Net.mailbox sb) with
-  | Some d -> Alcotest.(check string) "buffered copy delivered" "y" (Bytes.to_string d.Net.payload)
-  | None -> Alcotest.fail "copy buffered at disable time was lost"
-
-(* ------------------------------------------------------------------ *)
-(* Equal seeds => byte-identical batched traces (pairmsg). *)
-
-let run_pairmsg_traced ?(burst = true) ~batching ~seed () =
+let run_pairmsg_traced ~seed =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~params:(Net.lan ~loss:0.1 ~duplication:0.15 ()) () in
   let env = Syscall.make net () in
-  Syscall.set_burst env burst;
   let server_host = Net.add_host net ~name:"server" () in
   let client_host = Net.add_host net ~name:"client" () in
-  Net.set_batching net batching;
   let sink = Trace.start ~clock:(fun () -> Engine.now engine) () in
   let server = Endpoint.create env server_host ~port:50 () in
   Endpoint.serve server (fun ~src:_ body -> body);
@@ -149,22 +41,22 @@ let run_pairmsg_traced ?(burst = true) ~batching ~seed () =
   Trace.stop ();
   (Export.jsonl sink, List.rev !replies)
 
-let prop_batched_pairmsg_trace_deterministic =
+(* This property and the rpc one below still say "batched" in their
+   names, from when datagram batching was a delivery mode; both now run
+   the one per-copy delivery path, and the names are kept so the test
+   ids stay stable. *)
+let prop_pairmsg_trace_deterministic =
   QCheck.Test.make ~name:"equal seeds: batched pairmsg traces byte-identical" ~count:20
     QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let trace1, replies1 = run_pairmsg_traced ~batching:true ~seed () in
-      let trace2, replies2 = run_pairmsg_traced ~batching:true ~seed () in
-      trace1 = trace2 && replies1 = replies2)
+    (fun seed -> run_pairmsg_traced ~seed = run_pairmsg_traced ~seed)
 
 (* ------------------------------------------------------------------ *)
-(* Equal seeds => byte-identical batched traces (rpc). *)
+(* Equal seeds => byte-identical traces (rpc). *)
 
-let run_rpc ?(burst = true) ~batching ~traced ~seed () =
+let run_rpc_traced ~seed =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~params:(Net.lan ~loss:0.05 ~duplication:0.1 ()) () in
   let env = Syscall.make net () in
-  Syscall.set_burst env burst;
   let served = ref [] in
   let members =
     List.init 3 (fun i ->
@@ -180,8 +72,7 @@ let run_rpc ?(burst = true) ~batching ~traced ~seed () =
   let troupe = Troupe.make ~id:42L ~members in
   let client_host = Net.add_host net ~name:"client" () in
   let rt = Runtime.create env client_host () in
-  Net.set_batching net batching;
-  let sink = if traced then Some (Trace.start ~clock:(fun () -> Engine.now engine) ()) else None in
+  let sink = Trace.start ~clock:(fun () -> Engine.now engine) () in
   let replies = ref [] in
   ignore
     (Runtime.spawn_thread rt (fun ctx ->
@@ -192,107 +83,110 @@ let run_rpc ?(burst = true) ~batching ~traced ~seed () =
            replies := Bytes.to_string r :: !replies
          done));
   Engine.run engine;
-  let trace =
-    match sink with
-    | Some sink ->
-      Trace.stop ();
-      Export.jsonl sink
-    | None -> ""
-  in
-  (trace, List.rev !replies, List.rev !served)
+  Trace.stop ();
+  (Export.jsonl sink, List.rev !replies, List.rev !served)
 
-let prop_batched_rpc_trace_deterministic =
+let prop_rpc_trace_deterministic =
   QCheck.Test.make ~name:"equal seeds: batched rpc traces byte-identical" ~count:15
     QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let t1, r1, s1 = run_rpc ~batching:true ~traced:true ~seed () in
-      let t2, r2, s2 = run_rpc ~batching:true ~traced:true ~seed () in
-      t1 = t2 && r1 = r2 && s1 = s2)
+    (fun seed -> run_rpc_traced ~seed = run_rpc_traced ~seed)
 
 (* ------------------------------------------------------------------ *)
-(* Batched vs unbatched: same application-visible sequence under
-   loss, duplication, and extra delay (the circus_fault knobs). *)
+(* Burst charging against its reference: [Host.charge_span] must be
+   observationally identical to the literal per-charge [Host.use_cpu]
+   loop written out below — the same trace (charge slices at the same
+   instants), the same meter totals, and every hook at the same instant
+   — while timer events and a second fiber charging the same host
+   compete for the clock and the CPU queue.  Costs, gaps and timer
+   delays are multiples of 2^-10 s, so sums are exact and charge ends
+   tie with timers and rival charges as often as they miss them. *)
 
-let run_visible ?(burst = true) ~batching ~seed () =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~params:(Net.lan ~loss:0.12 ~duplication:0.2 ()) () in
-  (* Extra exponential delay via the fault-injection knob, so delayed
-     copies exercise the batcher's precomputed-arrival path. *)
-  Net.set_extra_delay_mean net 0.4e-3;
-  let env = Syscall.make net () in
-  Syscall.set_burst env burst;
-  let server_host = Net.add_host net ~name:"server" () in
-  let client_host = Net.add_host net ~name:"client" () in
-  Net.set_batching net batching;
+let burst_kinds = [| `User; `Kernel "sendmsg"; `Kernel "gettimeofday" |]
+
+type burst_case = {
+  charges : (int * int) list;  (* (index into [burst_kinds], cost ticks) *)
+  rival : (int * int) list;  (* second fiber: (sleep ticks, cost ticks) *)
+  timers : int list;  (* competing timer delays, ticks *)
+  rival_first : bool;  (* spawn order of the two fibers *)
+}
+
+let tick = 1.0 /. 1024.0
+
+let burst_case =
+  let open QCheck.Gen in
+  let gen =
+    map4
+      (fun charges rival timers rival_first -> { charges; rival; timers; rival_first })
+      (list_size (int_range 1 8) (pair (int_bound 2) (int_bound 6)))
+      (list_size (int_bound 6) (pair (int_bound 4) (int_bound 6)))
+      (list_size (int_bound 8) (int_bound 40))
+      bool
+  in
+  let print c =
+    let pairs l = String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) l) in
+    Printf.sprintf "charges=[%s] rival=[%s] timers=[%s] rival_first=%b" (pairs c.charges)
+      (pairs c.rival)
+      (String.concat ";" (List.map string_of_int c.timers))
+      c.rival_first
+  in
+  QCheck.make ~print gen
+
+let run_burst_case ~reference c =
+  let engine = Engine.create () in
+  let net = Net.create engine () in
+  let host = Net.add_host net ~name:"h" () in
+  let sink = Trace.start ~clock:(fun () -> Engine.now engine) () in
   let log = ref [] in
-  let server = Endpoint.create env server_host ~port:50 () in
-  Endpoint.serve server (fun ~src:_ body ->
-      log := ("srv:" ^ Bytes.to_string body) :: !log;
-      body);
-  ignore
-    (Host.spawn client_host (fun () ->
-         let ep = Endpoint.create env client_host () in
-         for i = 1 to 10 do
-           let reply =
-             Endpoint.call ep ~dst:(Endpoint.addr server)
-               (Bytes.of_string (Printf.sprintf "m%d" i))
-           in
-           log := ("rep:" ^ Bytes.to_string reply) :: !log
-         done;
-         Endpoint.close ep));
+  let note tag i = log := (tag, i, Engine.now engine) :: !log in
+  List.iteri
+    (fun i d ->
+      ignore (Engine.schedule engine ~delay:(float_of_int d *. tick) (fun () -> note "timer" i)))
+    c.timers;
+  let meter = Meter.create () in
+  let rival_meter = Meter.create () in
+  let charges = Array.of_list c.charges in
+  let n = Array.length charges in
+  let kind i = burst_kinds.(fst charges.(i)) in
+  let cost i = float_of_int (snd charges.(i)) *. tick in
+  let before i = note "before" i in
+  let after i = note "after" i in
+  let burst () =
+    if reference then
+      for i = 0 to n - 1 do
+        before i;
+        Host.use_cpu host ~meter ~kind:(kind i) (cost i);
+        after i
+      done
+    else Host.charge_span host ~meter ~n ~before ~kind ~cost ~after ()
+  in
+  let rival () =
+    List.iteri
+      (fun i (gap, cost) ->
+        Fiber.sleep (float_of_int gap *. tick);
+        Host.use_cpu host ~meter:rival_meter ~kind:(`Kernel "select") (float_of_int cost *. tick);
+        note "rival" i)
+      c.rival
+  in
+  let fibers = if c.rival_first then [ rival; burst ] else [ burst; rival ] in
+  List.iter (fun f -> ignore (Host.spawn host f)) fibers;
   Engine.run engine;
-  List.rev !log
+  Trace.stop ();
+  let totals m = (Meter.user m, Meter.kernel m, Meter.by_syscall m) in
+  (Export.jsonl sink, List.rev !log, totals meter, totals rival_meter, Host.cpu_time host)
 
-let prop_batched_equals_unbatched_sequence =
-  QCheck.Test.make
-    ~name:"batched run sees the sequence an unbatched run sees (loss/dup/delay)" ~count:20
-    QCheck.(int_range 1 100_000)
-    (fun seed -> run_visible ~batching:true ~seed () = run_visible ~batching:false ~seed ())
-
-let prop_batched_equals_unbatched_rpc =
-  QCheck.Test.make ~name:"batched rpc run matches unbatched replies and executions" ~count:10
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let _, r1, s1 = run_rpc ~batching:true ~traced:false ~seed () in
-      let _, r2, s2 = run_rpc ~batching:false ~traced:false ~seed () in
-      r1 = r2 && s1 = s2)
-
-(* ------------------------------------------------------------------ *)
-(* Burst charging vs the literal per-charge loop.  [Syscall.set_burst]
-   flips every multi-charge entry point ([sendmsg_vec], [charge_burst])
-   between [Host.charge_span] and a [Host.use_cpu] loop; the two must
-   be observationally indistinguishable — byte-identical traces (charge
-   slices at the same instants), identical replies and server-side
-   executions — under loss, duplication, and extra delay. *)
-
-let prop_burst_equals_legacy_pairmsg =
-  QCheck.Test.make ~name:"burst charging = per-charge loop (pairmsg trace + replies)" ~count:15
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let t1, r1 = run_pairmsg_traced ~burst:true ~batching:true ~seed () in
-      let t2, r2 = run_pairmsg_traced ~burst:false ~batching:true ~seed () in
-      t1 = t2 && r1 = r2)
-
-let prop_burst_equals_legacy_rpc =
-  QCheck.Test.make ~name:"burst charging = per-charge loop (rpc trace + executions)" ~count:10
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let t1, r1, s1 = run_rpc ~burst:true ~batching:true ~traced:true ~seed () in
-      let t2, r2, s2 = run_rpc ~burst:false ~batching:true ~traced:true ~seed () in
-      t1 = t2 && r1 = r2 && s1 = s2)
-
-let prop_burst_equals_legacy_sequence =
-  QCheck.Test.make
-    ~name:"burst charging sees the per-charge sequence (loss/dup/delay)" ~count:15
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      run_visible ~burst:true ~batching:true ~seed ()
-      = run_visible ~burst:false ~batching:true ~seed ())
+let prop_burst_equals_use_cpu_loop =
+  QCheck.Test.make ~count:200
+    ~name:"burst charging = per-charge loop (use_cpu oracle, rival fiber, timers)" burst_case
+    (fun c -> run_burst_case ~reference:false c = run_burst_case ~reference:true c)
 
 (* ------------------------------------------------------------------ *)
 (* sendmsg_vec exception contract: a hook that raises at element [i]
    leaves elements [< i] fully charged and injected and element [i]
    onward untouched — never a half-charged segment. *)
+
+(* Zero jitter and zero per-byte time, so the injected copies arrive in
+   send order. *)
+let zero_jitter = { Net.default_params with jitter_mean = 0.0; per_byte = 0.0 }
 
 let test_sendmsg_vec_before_raise () =
   let engine = Engine.create () in
@@ -335,8 +229,9 @@ let test_sendmsg_vec_before_raise () =
 
 (* ------------------------------------------------------------------ *)
 (* Burst charging composed with the sharded cluster: the merged trace
-   and every client's outcome log must be invariant across burst
-   {on,off} x domains {1,2,4}, with a chaos plan running.  An echo
+   and every client's outcome log must be invariant across domains
+   {1,2,4}, with a chaos plan running.  Each seed is run at d1 and then
+   twice each at d2 and d4, all compared against the d1 run.  An echo
    server on shard 0 serves pairmsg clients on the three other shards,
    so every call crosses LPs; the plan crashes/bounces one client host
    and throws loss/delay bursts at the rest. *)
@@ -344,17 +239,12 @@ let test_sendmsg_vec_before_raise () =
 module Cluster_plan = Circus_fault.Plan
 module Injector = Circus_fault.Injector
 
-let cluster_burst_run ~seed ~domains ~burst =
+let cluster_burst_run ~seed ~domains =
   let params = { (Net.lan ~loss:0.05 ~duplication:0.1 ()) with propagation = 2e-3 } in
   let c = Cluster.create ~seed ~params ~lps:4 () in
   Cluster.enable_tracing c;
   let hosts = Array.init 4 (fun i -> Cluster.add_host c ~name:(Printf.sprintf "h%d" i) ()) in
-  let envs =
-    Array.init 4 (fun lp ->
-        let env = Syscall.make (Cluster.net c lp) () in
-        Syscall.set_burst env burst;
-        env)
-  in
+  let envs = Array.init 4 (fun lp -> Syscall.make (Cluster.net c lp) ()) in
   let server_lp = Cluster.lp_of_host c (Host.id hosts.(0)) in
   let server_addr = ref None in
   Cluster.with_lp c server_lp (fun () ->
@@ -391,20 +281,23 @@ let cluster_burst_run ~seed ~domains ~burst =
   (trace, Array.map List.rev logs, List.length plan)
 
 let check_cluster_burst_invariance ~seed =
-  let ref_trace, ref_logs, plan_steps = cluster_burst_run ~seed ~domains:1 ~burst:true in
+  let ref_trace, ref_logs, plan_steps = cluster_burst_run ~seed ~domains:1 in
   let calls = Array.fold_left (fun n log -> n + List.length log) 0 ref_logs in
   if calls = 0 then Alcotest.fail "no client completed a call — vacuous comparison";
   if plan_steps = 0 then Alcotest.fail "empty chaos plan — vacuous chaos comparison";
   List.for_all
-    (fun (domains, burst) ->
-      let trace, logs, _ = cluster_burst_run ~seed ~domains ~burst in
+    (fun domains ->
+      let trace, logs, _ = cluster_burst_run ~seed ~domains in
       trace = ref_trace && logs = ref_logs)
-    [ (1, false); (2, true); (2, false); (4, true); (4, false) ]
+    [ 2; 2; 4; 4 ]
 
 let test_cluster_burst_invariant_fixed_seed () =
-  Alcotest.(check bool) "burst {on,off} x domains {1,2,4} identical (seed 17)" true
+  Alcotest.(check bool) "domains 2, 2, 4, 4 identical to domains 1 (seed 17)" true
     (check_cluster_burst_invariance ~seed:17)
 
+(* The case names still read "burst {on,off}" from when the burst switch
+   was an axis here; they are kept so failure counts stay comparable
+   from run to run. *)
 let prop_cluster_burst_invariant =
   QCheck.Test.make ~count:3
     ~name:"chaos cluster: burst {on,off} x domains {1,2,4} byte-identical"
@@ -416,9 +309,9 @@ let prop_cluster_burst_invariant =
    pins the Collator / duplicate-suppression work at fixed cost: a
    regression that reintroduces per-call closures or per-call table
    churn shows up as a jump in bytes allocated per call.  The budget
-   is ~1.2x the measured figure (52.6 KB/call for the 3-member troupe
-   with burst charging) to stay robust across compiler versions while
-   still catching structural regressions. *)
+   is ~1.2x the measured figure (53.5 KB/call for the 3-member troupe
+   with burst charging, OCaml 5.1.1) to stay robust across compiler
+   versions while still catching structural regressions. *)
 
 let test_call_alloc_budget () =
   let engine = Engine.create () in
@@ -443,10 +336,17 @@ let test_call_alloc_budget () =
          for _ = 1 to 8 do
            ignore (Runtime.call_troupe ctx troupe ~proc_no:0 body)
          done;
+         (* Empty the minor heap at both ends of the window: on OCaml 5,
+            [Gc.allocated_bytes] counts minor-heap words only as of the
+            last minor collection, so a read without it under-counts the
+            window, or over-counts it by a whole minor heap when a
+            collection falls inside. *)
+         Gc.minor ();
          let before = Gc.allocated_bytes () in
          for _ = 1 to iters do
            ignore (Runtime.call_troupe ctx troupe ~proc_no:0 body)
          done;
+         Gc.minor ();
          per_call := (Gc.allocated_bytes () -. before) /. float_of_int iters));
   Engine.run engine;
   let budget = 64_000.0 in
@@ -456,25 +356,11 @@ let test_call_alloc_budget () =
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "circus_batching"
-    [ ( "coalescing",
-        [ Alcotest.test_case "same-instant copies share an event" `Quick
-            test_batch_coalesces_same_instant;
-          Alcotest.test_case "multicast fan-out shares an event" `Quick
-            test_multicast_fanout_coalesces;
-          Alcotest.test_case "disabling flushes buffered copies" `Quick
-            test_disable_flushes_buffered ] );
-      ( "determinism",
-        qcheck [ prop_batched_pairmsg_trace_deterministic; prop_batched_rpc_trace_deterministic ]
-      );
-      ( "equivalence",
-        qcheck [ prop_batched_equals_unbatched_sequence; prop_batched_equals_unbatched_rpc ] );
+    [ ("determinism", qcheck [ prop_pairmsg_trace_deterministic; prop_rpc_trace_deterministic ]);
       ( "burst charging",
         Alcotest.test_case "sendmsg_vec hook raise: no half-charged burst" `Quick
           test_sendmsg_vec_before_raise
-        :: qcheck
-             [ prop_burst_equals_legacy_pairmsg;
-               prop_burst_equals_legacy_rpc;
-               prop_burst_equals_legacy_sequence ] );
+        :: qcheck [ prop_burst_equals_use_cpu_loop ] );
       ( "burst x cluster",
         Alcotest.test_case "fixed seed, burst x domains" `Quick
           test_cluster_burst_invariant_fixed_seed

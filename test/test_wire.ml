@@ -77,6 +77,34 @@ let test_out_of_range () =
   Alcotest.(check bool) "uint16" true
     (try ignore (Codec.encode Codec.uint16 (-1)); false with Invalid_argument _ -> true)
 
+(* The parallel engine encodes on several domains at once, so the
+   scratch writer behind [Codec.encode] must not be shared between
+   them.  Two domains round-trip distinct values concurrently; any
+   cross-domain sharing shows up as a corrupted or undecodable value. *)
+let test_two_domain_roundtrip () =
+  let codec = Codec.(list string) in
+  let rounds = 200_000 in
+  let started = Atomic.make 0 in
+  let worker tag () =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    let bad = ref 0 in
+    for i = 1 to rounds do
+      let v = [ Printf.sprintf "%s%d" tag i; String.make (i mod 23) tag.[0] ] in
+      match Codec.decode codec (Codec.encode codec v) with
+      | v' -> if v' <> v then incr bad
+      | exception Codec.Decode_error _ -> incr bad
+    done;
+    !bad
+  in
+  let other = Domain.spawn (worker "b") in
+  let here = worker "a" () in
+  let there = Domain.join other in
+  Alcotest.(check (pair int int)) "corrupted round-trips (this domain, other domain)" (0, 0)
+    (here, there)
+
 let qcheck_roundtrip name gen codec =
   QCheck.Test.make ~name ~count:300 gen (fun v -> roundtrip codec v)
 
@@ -109,7 +137,8 @@ let () =
     [ ( "buf",
         [ Alcotest.test_case "primitives" `Quick test_buf_primitives;
           Alcotest.test_case "big endian" `Quick test_buf_big_endian;
-          Alcotest.test_case "underflow" `Quick test_buf_underflow ] );
+          Alcotest.test_case "underflow" `Quick test_buf_underflow;
+          Alcotest.test_case "two domains round-trip at once" `Quick test_two_domain_roundtrip ] );
       ( "codec",
         [ Alcotest.test_case "trailing garbage" `Quick test_decode_rejects_trailing_garbage;
           Alcotest.test_case "truncation" `Quick test_decode_rejects_truncation;
