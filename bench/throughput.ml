@@ -34,7 +34,9 @@
    --quick           ~10x smaller workloads (for smoke checks)
 
    Each bench runs three times and reports the best rate, which is the
-   standard way to suppress scheduler/GC noise on shared runners. *)
+   standard way to suppress scheduler/GC noise on shared runners.  The
+   scenario rows also exit non-zero when any run's report differs from
+   the d1 run of the same arrival. *)
 
 open Circus_sim
 open Circus_workloads
@@ -288,7 +290,9 @@ let bench_trace_overhead ~iterations ~n =
    traffic, measured end to end — world construction, registration,
    binding, replicated calls, collation.  The d = 1, 2, 4 rows give
    the scenario-level scaling curve; completed requests per wall
-   second is the "heavy traffic" figure of merit. *)
+   second is the "heavy traffic" figure of merit.  Every run of every
+   row must reproduce the d1 report of its arrival byte for byte (the
+   determinism contract); a mismatch fails the bench. *)
 
 module Scenario = Circus_scenario.Scenario
 module Export = Circus_trace.Export
@@ -314,19 +318,31 @@ let scenario_bench_spec ~arrival ~quick =
     duration = (if quick then 0.4 else 1.0);
     arrival }
 
+(* Reference report per arrival: the first run of its d1 row, which
+   precedes the d2/d4 rows. *)
+let scenario_reports : (string, string) Hashtbl.t = Hashtbl.create 2
+let scenario_mismatches = ref []
+
 let bench_scenario ~arrival ~domains ~quick =
   let spec = scenario_bench_spec ~arrival ~quick in
-  let name = Printf.sprintf "scenario_%s_d%d" (Scenario.arrival_name arrival) domains in
+  let arrival_name = Scenario.arrival_name arrival in
+  let name = Printf.sprintf "scenario_%s_d%d" arrival_name domains in
   (* ops (completed requests) is an output of the run — deterministic
      per seed — so derive it from the report instead of fixing it up
      front like the other benches. *)
   let wall = ref infinity and ops = ref 0 in
-  for _ = 1 to 3 do
+  for k = 1 to 3 do
     let t0 = now_s () in
     let r = Scenario.run ~domains spec in
     let t = now_s () -. t0 in
     if t < !wall then wall := t;
-    ops := r.Scenario.completed
+    ops := r.Scenario.completed;
+    let report = Scenario.report_json spec r in
+    match Hashtbl.find_opt scenario_reports arrival_name with
+    | None -> Hashtbl.add scenario_reports arrival_name report
+    | Some reference ->
+      if report <> reference then
+        scenario_mismatches := Printf.sprintf "%s run %d" name k :: !scenario_mismatches
   done;
   { name; ops = !ops; wall_s = Float.max !wall 1e-9 }
 
@@ -638,6 +654,11 @@ let main () =
     (fun r ->
       Printf.printf "%-20s | %12d | %10.4f | %14.0f\n" r.name r.ops r.wall_s (rate r))
     results;
+  if !scenario_mismatches <> [] then begin
+    Printf.printf "\nFAIL: scenario report differs from the d1 run of its arrival: %s\n"
+      (String.concat ", " (List.rev !scenario_mismatches));
+    exit 1
+  end;
   (match json_path with
   | None -> ()
   | Some path ->

@@ -10,8 +10,10 @@
    reachability check against the sender's partition masks and the
    loss/duplication/corruption/jitter draws on the sender's PRNG — and
    crosses over as a Parallel.post carrying its precomputed arrival
-   instant; the destination shard injects it at a barrier and delivers
-   through the normal arrival-time checks (liveness, binding).
+   instant.  It waits in the sender shard's outbox until the window's
+   barrier, where the coordinator schedules it on the destination
+   shard's engine; it is then delivered through the normal arrival-time
+   checks (liveness, binding).
 
    The lookahead window is [params.propagation]: every transit delay
    is propagation + per-byte + jitter (+ non-negative fault delay), so
@@ -59,7 +61,6 @@ let create ?seed ?(params = Net.default_params) ~lps () =
     nets;
   t
 
-let parallel t = t.par
 let lp_count t = Array.length t.nets
 let net t i = t.nets.(i)
 let engine t i = Parallel.engine t.par i

@@ -5,9 +5,10 @@
     global, so addresses are meaningful cluster-wide.  A datagram for
     a host on another shard is claimed by the sender net's router
     after all sender-side PRNG draws and crosses over with its arrival
-    instant through the parallel engine's channels; the lookahead
-    window is [params.propagation], the floor under every transit
-    delay.  Equal seeds give byte-identical merged traces at any
+    instant through {!Circus_sim.Parallel.post}, which the coordinator
+    injects into the destination shard at the next barrier; the
+    lookahead window is [params.propagation], the floor under every
+    transit delay.  Equal seeds give byte-identical merged traces at any
     domain count. *)
 
 type t
@@ -16,7 +17,6 @@ val create : ?seed:int -> ?params:Net.params -> lps:int -> unit -> t
 (** [create ~lps:k ()] builds [k] shards.  [params.propagation] must
     be positive — it is the conservative lookahead. *)
 
-val parallel : t -> Circus_sim.Parallel.t
 val lp_count : t -> int
 val net : t -> int -> Net.t
 val engine : t -> int -> Circus_sim.Engine.t

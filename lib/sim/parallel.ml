@@ -1,18 +1,19 @@
 (* Conservative parallel discrete-event simulation across OCaml 5
    domains.
 
-   The world is sharded into K logical processes (Lp.t), each a
-   complete sequential engine.  Execution proceeds in windows
-   [W, W + L) where L is the *lookahead*: a lower bound on cross-LP
-   message latency guaranteed by the caller (for the network layer,
-   the minimum propagation delay).  Within a window every LP runs
+   The world is sharded into K logical processes, each a complete
+   sequential engine with its own trace sink.  Execution proceeds in
+   windows [W, W + L) where L is the *lookahead*: a lower bound on
+   cross-LP message latency guaranteed by the caller (for the network
+   layer, the minimum propagation delay).  Within a window every LP runs
    independently — any message it sends cannot arrive before the next
    barrier at W + L, so nothing an LP does in the window can affect
-   another LP's events inside it.  At the barrier each LP drains its
-   inbound channels (ascending source order, FIFO within a channel)
-   and schedules the arrivals into its own engine; the next window
-   then starts at the minimum next-event time across LPs and channels,
-   so idle stretches are skipped in one hop.
+   another LP's events inside it.  A message posted during a window
+   waits in its source LP's outbox.  At the barrier, once every domain
+   has finished the window, the coordinator alone drains the outboxes
+   (ascending source LP, FIFO within an outbox) into the destination
+   engines; the next window then starts at the minimum next-event time
+   across LPs, so idle stretches are skipped in one hop.
 
    Determinism.  K is a property of the workload, never of the machine:
    [domains d] only chooses how the K LPs are mapped onto d domains
@@ -22,10 +23,10 @@
    observes d.  Equal seeds therefore produce byte-identical traces at
    any domain count, which CI enforces with a cmp.  Cross-LP ordering
    is the pure function described in DESIGN.md: events sort by
-   (time, lp-id, per-LP seq), and injected arrivals obtain their
-   receiver-side seq at the barrier, before anything at their instant
-   runs (Engine.run_window's bound is exclusive for exactly this
-   reason).
+   (time, lp-id, per-LP seq), and an arrival posted in window r obtains
+   its receiver-side seq at barrier r, after every LP has finished
+   window r and before anything at its instant runs (Engine.run_window's
+   bound is exclusive for exactly this reason).
 
    Why conservative rather than optimistic (Time Warp-style rollback):
    the engine executes arbitrary OCaml closures with side effects
@@ -36,7 +37,7 @@
    subtle under speculative execution.
 
    K = 1 degrades to a direct Engine.run on the caller's domain: no
-   windows, no barriers, no channels — byte-identical to the
+   windows, no barriers, no outboxes — byte-identical to the
    sequential engine. *)
 
 module Trace = Circus_trace.Trace
@@ -46,13 +47,21 @@ module Trace = Circus_trace.Trace
 module Cond = Stdlib.Condition
 module Event = Circus_trace.Event
 
+(* A logical process: one shard of the world.  LPs never share
+   mutable simulation state; the only cross-LP traffic is [post]. *)
+type lp = { engine : Engine.t; mutable sink : Trace.sink option; mutable executed : int }
+
 type t = {
-  lps : Lp.t array;
+  lps : lp array;
   lookahead : float;
-  (* chans.(dst).(src): SPSC, producer = LP src's domain. *)
-  chans : (unit -> unit) Lp.Channel.t array array;
+  (* outboxes.(src): (dst, arrival, thunk) posted by LP src this round,
+     newest first.  Written during a round only by src's domain; read
+     and emptied only by the coordinator at the barrier, after every
+     domain has passed through the team mutex. *)
+  outboxes : (int * float * (unit -> unit)) list array;
   (* Per-LP next-event time, published by the owning domain at the end
-     of each round; read by the coordinator at barriers. *)
+     of each round and lowered by the barrier drain; read by the
+     coordinator at barriers. *)
   next_times : float array;
   (* The current window's barrier instant.  A cross-LP message must
      arrive at or after it — violating this would mean the receiver
@@ -62,40 +71,39 @@ type t = {
   mutable tracing : bool;
 }
 
-let create ?(seed = 42) ?(channel_capacity = 1024) ~lps ~lookahead () =
+(* Each LP's engine seed is the first draw of [Prng.stream root
+   ~index:i], so the whole LP is a pure function of (root seed, lp id),
+   whatever the LP count or the domain map. *)
+let create ?(seed = 42) ~lps ~lookahead () =
   if lps < 1 then invalid_arg "Parallel.create: lps < 1";
   if not (lookahead > 0.0) then invalid_arg "Parallel.create: lookahead must be positive";
   let root = Prng.create seed in
-  { lps = Array.init lps (fun i -> Lp.make ~id:i ~prng:(Prng.stream root ~index:i));
+  let make i =
+    let seed = Int64.to_int (Prng.int64 (Prng.stream root ~index:i)) land max_int in
+    { engine = Engine.create ~seed (); sink = None; executed = 0 }
+  in
+  { lps = Array.init lps make;
     lookahead;
-    chans =
-      Array.init lps (fun _ ->
-          Array.init lps (fun _ -> Lp.Channel.create ~capacity:channel_capacity ()));
+    outboxes = Array.make lps [];
     next_times = Array.make lps 0.0;
     cur_limit = neg_infinity;
     tracing = false }
 
-let lp_count t = Array.length t.lps
-let lp t i = t.lps.(i)
-let engine t i = t.lps.(i).Lp.engine
-let prng t i = t.lps.(i).Lp.prng
-let lookahead t = t.lookahead
-let executed t = Array.fold_left (fun acc (l : Lp.t) -> acc + l.executed) 0 t.lps
-
-let now t =
-  Array.fold_left (fun acc (l : Lp.t) -> Float.max acc (Engine.now l.engine)) 0.0 t.lps
+let engine t i = t.lps.(i).engine
+let executed t = Array.fold_left (fun acc l -> acc + l.executed) 0 t.lps
+let now t = Array.fold_left (fun acc l -> Float.max acc (Engine.now l.engine)) 0.0 t.lps
 
 let enable_tracing ?capacity ?cats ?quiet t =
   t.tracing <- true;
   Array.iter
-    (fun (l : Lp.t) ->
+    (fun l ->
       let engine = l.engine in
       l.sink <- Some (Trace.make_sink ?capacity ?cats ?quiet ~clock:(fun () -> Engine.now engine) ()))
     t.lps
 
 let with_lp t i f =
   let saved = Trace.active () in
-  Trace.use t.lps.(i).Lp.sink;
+  Trace.use t.lps.(i).sink;
   Fun.protect ~finally:(fun () -> Trace.use saved) f
 
 let post t ~src ~dst ~at thunk =
@@ -105,50 +113,46 @@ let post t ~src ~dst ~at thunk =
       (Printf.sprintf
          "Parallel.post: lookahead violation (lp %d -> lp %d arriving at %g, barrier at %g)" src
          dst at t.cur_limit);
-  Lp.Channel.push t.chans.(dst).(src) ~arrival:at thunk
+  t.outboxes.(src) <- (dst, at, thunk) :: t.outboxes.(src)
 
 (* ------------------------------------------------------------------ *)
 (* Rounds *)
 
-(* Inject everything buffered for [l], ascending source order then FIFO
-   — together with the per-engine seq counter this fixes the cross-LP
-   interleaving independently of domain count.  Barrier-only. *)
-let drain_into t (l : Lp.t) =
-  let inbound = t.chans.(l.id) in
-  for src = 0 to Array.length inbound - 1 do
-    Lp.Channel.drain inbound.(src) ~f:(fun ~arrival thunk ->
-        ignore (Engine.schedule_abs l.engine ~at:arrival thunk))
-  done
-
-(* One LP's share of a round, on its owning domain.  [final] is the
-   inclusive last pass of a [run ~until]: events at exactly [limit]
+(* One domain's share of a round: [owned] lists its LP ids.  [final] is
+   the inclusive last pass of a [run ~until]: events at exactly [limit]
    execute (Engine.run's semantics); in a regular window they wait for
    the barrier at [limit]. *)
 let run_round t ~owned ~limit ~final =
   Array.iter
-    (fun (l : Lp.t) ->
+    (fun i ->
+      let l = t.lps.(i) in
       Trace.use l.sink;
-      drain_into t l;
       let n =
         if final then Engine.run_counted ~until:limit l.engine
         else Engine.run_window l.engine ~limit
       in
       l.executed <- l.executed + n;
-      t.next_times.(l.id) <- Engine.next_time l.engine)
+      t.next_times.(i) <- Engine.next_time l.engine)
     owned
 
-let window_start t =
-  let start = ref infinity in
-  Array.iter (fun nt -> if nt < !start then start := nt) t.next_times;
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun c ->
-          let m = Lp.Channel.min_pending c in
-          if m < !start then start := m)
-        row)
-    t.chans;
-  !start
+(* The barrier drain, on the coordinator while no round is running:
+   ascending source LP, FIFO within an outbox.  Together with each
+   engine's seq counter this fixes the cross-LP interleaving
+   independently of the domain count. *)
+let drain t =
+  Array.iteri
+    (fun src box ->
+      if box <> [] then begin
+        t.outboxes.(src) <- [];
+        List.iter
+          (fun (dst, at, thunk) ->
+            ignore (Engine.schedule_abs t.lps.(dst).engine ~at thunk);
+            if at < t.next_times.(dst) then t.next_times.(dst) <- at)
+          (List.rev box)
+      end)
+    t.outboxes
+
+let window_start t = Array.fold_left Float.min infinity t.next_times
 
 (* ------------------------------------------------------------------ *)
 (* The domain team.  Workers park on [cv_start] between rounds; the
@@ -210,7 +214,8 @@ let coordinate t team ~own ~workers ~limit ~final =
   while team.done_count < workers do
     Cond.wait team.cv_done team.m
   done;
-  Mutex.unlock team.m
+  Mutex.unlock team.m;
+  drain t
 
 let shutdown team handles =
   Mutex.lock team.m;
@@ -226,23 +231,23 @@ let run ?until ?(max_events = 50_000_000) ?(domains = 1) t =
   let saved = Trace.active () in
   Fun.protect ~finally:(fun () -> Trace.use saved) @@ fun () ->
   if k = 1 then begin
-    (* Sequential fast path: no windows, no barriers, no channels
+    (* Sequential fast path: no windows, no barriers, no outboxes
        (post rejects src = dst, so none can hold messages) — the exact
        code path of the single-domain engine. *)
     let l = t.lps.(0) in
-    if t.tracing then Trace.use l.Lp.sink;
-    l.Lp.executed <- l.Lp.executed + Engine.run_counted ?until ~max_events l.Lp.engine
+    if t.tracing then Trace.use l.sink;
+    l.executed <- l.executed + Engine.run_counted ?until ~max_events l.engine
   end
   else begin
     let d = max 1 (min domains k) in
     let base = executed t in
-    (* Initial scan on the calling domain: nothing else is running yet. *)
+    (* Initial scan on the calling domain, nothing else running yet;
+       the drain injects whatever setup code posted before [run]. *)
     for i = 0 to k - 1 do
-      t.next_times.(i) <- Engine.next_time t.lps.(i).Lp.engine
+      t.next_times.(i) <- Engine.next_time t.lps.(i).engine
     done;
-    let owned w =
-      Array.of_list (List.filter (fun (l : Lp.t) -> l.id mod d = w) (Array.to_list t.lps))
-    in
+    drain t;
+    let owned w = Array.of_list (List.filter (fun i -> i mod d = w) (List.init k Fun.id)) in
     let team =
       { m = Mutex.create ();
         cv_start = Cond.create ();
@@ -287,7 +292,7 @@ let run ?until ?(max_events = 50_000_000) ?(domains = 1) t =
 let merged_events t =
   let all =
     List.concat_map
-      (fun (l : Lp.t) -> match l.sink with Some s -> Trace.sink_events s | None -> [])
+      (fun l -> match l.sink with Some s -> Trace.sink_events s | None -> [])
       (Array.to_list t.lps)
   in
   let sorted =
@@ -301,5 +306,5 @@ let merged_events t =
 
 let merged_dropped t =
   Array.fold_left
-    (fun acc (l : Lp.t) -> match l.sink with Some s -> acc + Trace.sink_dropped s | None -> acc)
+    (fun acc l -> match l.sink with Some s -> acc + Trace.sink_dropped s | None -> acc)
     0 t.lps

@@ -1,7 +1,7 @@
 (** Conservative parallel discrete-event simulation across OCaml 5
     domains.
 
-    The world is sharded into K logical processes ({!Lp.t}), each a
+    The world is sharded into K logical processes (LPs), each a
     complete sequential {!Engine.t}.  Execution proceeds in windows
     [\[W, W + L)] where [L] is the {e lookahead} — a caller-guaranteed
     lower bound on cross-LP message latency — so LPs run windows
@@ -18,20 +18,15 @@
 
 type t
 
-val create : ?seed:int -> ?channel_capacity:int -> lps:int -> lookahead:float -> unit -> t
-(** [create ~lps:k ~lookahead ()] builds [k] logical processes.  Each
-    LP's PRNG is [Prng.stream root ~index:id] and seeds its engine, so
-    every LP is a pure function of [(seed, id)].  [lookahead] must be
+val create : ?seed:int -> lps:int -> lookahead:float -> unit -> t
+(** [create ~lps:k ~lookahead ()] builds [k] logical processes.  LP
+    [id]'s engine is seeded from [Prng.stream root ~index:id], so every
+    LP is a pure function of [(seed, id)].  [lookahead] must be
     positive: the caller guarantees no cross-LP message arrives less
     than [lookahead] after it was sent (for the network layer, the
-    minimum propagation delay).  [channel_capacity] sizes the SPSC
-    rings (default 1024); overflow spills losslessly. *)
+    minimum propagation delay). *)
 
-val lp_count : t -> int
-val lp : t -> int -> Lp.t
 val engine : t -> int -> Engine.t
-val prng : t -> int -> Prng.t
-val lookahead : t -> float
 
 val now : t -> float
 (** Maximum clock across LPs (they agree at barriers). *)
@@ -40,18 +35,19 @@ val executed : t -> int
 (** Total events executed across LPs, cumulative over runs. *)
 
 val post : t -> src:int -> dst:int -> at:float -> (unit -> unit) -> unit
-(** [post t ~src ~dst ~at f] sends a cross-LP message: [f] is
-    scheduled on LP [dst]'s engine at absolute time [at], at the next
-    barrier.  Must be called from LP [src]'s domain (the channels are
-    single-producer).  Raises [Invalid_argument] if [src = dst]
-    (schedule locally instead) or if [at] precedes the current
-    window's barrier — a lookahead violation, meaning the receiver may
-    already have run past [at]. *)
+(** [post t ~src ~dst ~at f] sends a cross-LP message: [f] waits in
+    LP [src]'s outbox until the next barrier, where the coordinator
+    schedules it on LP [dst]'s engine at absolute time [at] (sources in
+    ascending order, FIFO per source).  Must be called from code running
+    on LP [src] (its outbox has no lock).  Raises [Invalid_argument] if
+    [src = dst] (schedule locally instead) or if [at] precedes the
+    current window's barrier — a lookahead violation, meaning the
+    receiver may already have run past [at]. *)
 
 val run : ?until:float -> ?max_events:int -> ?domains:int -> t -> unit
 (** Run all LPs to quiescence (or through [until], inclusive, like
-    {!Engine.run}) using [domains] domains (default 1; clamped to
-    [lp_count]).  The calling domain coordinates and runs its own
+    {!Engine.run}) using [domains] domains (default 1; clamped to the
+    LP count).  The calling domain coordinates and runs its own
     share of LPs; [domains - 1] workers are spawned per call and
     joined before returning.  Barriers block on condition variables —
     never spin — so oversubscribed machines degrade gracefully.  An

@@ -1,10 +1,9 @@
 (* Transport-path tests: byte-identical traces across equal-seed runs
    under loss and duplication (pairmsg and rpc), burst charging
    ([Host.charge_span]) against a hand-written per-charge
-   [Host.use_cpu] loop, the [sendmsg_vec] exception contract, burst
-   charging across the sharded cluster at domains {1,2,4} with a chaos
-   plan running, and a steady-state allocation budget on the
-   replicated-call hot path. *)
+   [Host.use_cpu] loop, the [sendmsg_vec] exception contract, the
+   sharded cluster at domains {1,2,4} with a chaos plan running, and a
+   steady-state allocation budget on the replicated-call hot path. *)
 
 open Circus_sim
 open Circus_net
@@ -41,12 +40,8 @@ let run_pairmsg_traced ~seed =
   Trace.stop ();
   (Export.jsonl sink, List.rev !replies)
 
-(* This property and the rpc one below still say "batched" in their
-   names, from when datagram batching was a delivery mode; both now run
-   the one per-copy delivery path, and the names are kept so the test
-   ids stay stable. *)
 let prop_pairmsg_trace_deterministic =
-  QCheck.Test.make ~name:"equal seeds: batched pairmsg traces byte-identical" ~count:20
+  QCheck.Test.make ~name:"equal seeds: pairmsg traces byte-identical" ~count:20
     QCheck.(int_range 1 100_000)
     (fun seed -> run_pairmsg_traced ~seed = run_pairmsg_traced ~seed)
 
@@ -87,7 +82,7 @@ let run_rpc_traced ~seed =
   (Export.jsonl sink, List.rev !replies, List.rev !served)
 
 let prop_rpc_trace_deterministic =
-  QCheck.Test.make ~name:"equal seeds: batched rpc traces byte-identical" ~count:15
+  QCheck.Test.make ~name:"equal seeds: rpc traces byte-identical" ~count:15
     QCheck.(int_range 1 100_000)
     (fun seed -> run_rpc_traced ~seed = run_rpc_traced ~seed)
 
@@ -228,7 +223,7 @@ let test_sendmsg_vec_before_raise () =
     [ "0"; "1" ] (drain [])
 
 (* ------------------------------------------------------------------ *)
-(* Burst charging composed with the sharded cluster: the merged trace
+(* Charging composed with the sharded cluster: the merged trace
    and every client's outcome log must be invariant across domains
    {1,2,4}, with a chaos plan running.  Each seed is run at d1 and then
    twice each at d2 and d4, all compared against the d1 run.  An echo
@@ -239,7 +234,7 @@ let test_sendmsg_vec_before_raise () =
 module Cluster_plan = Circus_fault.Plan
 module Injector = Circus_fault.Injector
 
-let cluster_burst_run ~seed ~domains =
+let cluster_run ~seed ~domains =
   let params = { (Net.lan ~loss:0.05 ~duplication:0.1 ()) with propagation = 2e-3 } in
   let c = Cluster.create ~seed ~params ~lps:4 () in
   Cluster.enable_tracing c;
@@ -280,29 +275,25 @@ let cluster_burst_run ~seed ~domains =
   let trace = Export.jsonl_events (Cluster.merged_events c) in
   (trace, Array.map List.rev logs, List.length plan)
 
-let check_cluster_burst_invariance ~seed =
-  let ref_trace, ref_logs, plan_steps = cluster_burst_run ~seed ~domains:1 in
+let check_cluster_invariance ~seed =
+  let ref_trace, ref_logs, plan_steps = cluster_run ~seed ~domains:1 in
   let calls = Array.fold_left (fun n log -> n + List.length log) 0 ref_logs in
   if calls = 0 then Alcotest.fail "no client completed a call — vacuous comparison";
   if plan_steps = 0 then Alcotest.fail "empty chaos plan — vacuous chaos comparison";
   List.for_all
     (fun domains ->
-      let trace, logs, _ = cluster_burst_run ~seed ~domains in
+      let trace, logs, _ = cluster_run ~seed ~domains in
       trace = ref_trace && logs = ref_logs)
     [ 2; 2; 4; 4 ]
 
-let test_cluster_burst_invariant_fixed_seed () =
+let test_cluster_invariant_fixed_seed () =
   Alcotest.(check bool) "domains 2, 2, 4, 4 identical to domains 1 (seed 17)" true
-    (check_cluster_burst_invariance ~seed:17)
+    (check_cluster_invariance ~seed:17)
 
-(* The case names still read "burst {on,off}" from when the burst switch
-   was an axis here; they are kept so failure counts stay comparable
-   from run to run. *)
-let prop_cluster_burst_invariant =
-  QCheck.Test.make ~count:3
-    ~name:"chaos cluster: burst {on,off} x domains {1,2,4} byte-identical"
+let prop_cluster_invariant =
+  QCheck.Test.make ~count:3 ~name:"chaos cluster: domains {1,2,4} byte-identical"
     QCheck.(int_range 0 10_000)
-    (fun seed -> check_cluster_burst_invariance ~seed)
+    (fun seed -> check_cluster_invariance ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* Steady-state allocation budget on the replicated-call path.  This
@@ -361,8 +352,7 @@ let () =
         Alcotest.test_case "sendmsg_vec hook raise: no half-charged burst" `Quick
           test_sendmsg_vec_before_raise
         :: qcheck [ prop_burst_equals_use_cpu_loop ] );
-      ( "burst x cluster",
-        Alcotest.test_case "fixed seed, burst x domains" `Quick
-          test_cluster_burst_invariant_fixed_seed
-        :: qcheck [ prop_cluster_burst_invariant ] );
+      ( "chaos x domains",
+        Alcotest.test_case "fixed seed, domains 1/2/4" `Quick test_cluster_invariant_fixed_seed
+        :: qcheck [ prop_cluster_invariant ] );
       ("allocation", [ Alcotest.test_case "per-call budget" `Quick test_call_alloc_budget ]) ]

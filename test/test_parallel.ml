@@ -1,5 +1,5 @@
-(* Tests for the parallel engine: pinned per-LP PRNG streams, the SPSC
-   channel, cross-LP post validation and error propagation, K = 1
+(* Tests for the parallel engine: pinned per-LP PRNG streams, cross-LP
+   post validation, error propagation and barrier ordering, K = 1
    degradation to the sequential engine, cross-shard datagram delivery,
    and the central oracle — equal seeds give byte-identical merged
    traces for any domain count, plain and under a chaos plan. *)
@@ -58,25 +58,6 @@ let test_stream_stable () =
       ignore (Prng.stream (Prng.create 0) ~index:(-1)))
 
 (* ------------------------------------------------------------------ *)
-(* The SPSC channel: FIFO order survives the overflow spill. *)
-
-let test_channel_fifo_spill () =
-  let ch = Lp.Channel.create ~capacity:4 () in
-  Alcotest.(check bool) "fresh channel empty" true (Lp.Channel.is_empty ch);
-  Alcotest.(check (float 0.0)) "empty min_pending" infinity (Lp.Channel.min_pending ch);
-  for i = 0 to 9 do
-    Lp.Channel.push ch ~arrival:(10.0 -. float_of_int i) i
-  done;
-  Alcotest.(check (float 0.0)) "min over ring and spill" 1.0 (Lp.Channel.min_pending ch);
-  let got = ref [] in
-  Lp.Channel.drain ch ~f:(fun ~arrival:_ v -> got := v :: !got);
-  Alcotest.(check (list int)) "push order across the spill boundary"
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !got);
-  Alcotest.(check bool) "drained channel empty" true (Lp.Channel.is_empty ch);
-  Alcotest.(check (float 0.0)) "drain resets min_pending" infinity (Lp.Channel.min_pending ch)
-
-(* ------------------------------------------------------------------ *)
 (* post validation and worker-error propagation. *)
 
 let test_post_validation () =
@@ -93,6 +74,31 @@ let test_post_validation () =
          Parallel.post t ~src:0 ~dst:1 ~at:0.5 (fun () -> ())));
   (try Parallel.run ~until:3.0 ~domains:2 t with Invalid_argument _ -> violated := true);
   Alcotest.(check bool) "lookahead violation re-raised by run" true !violated
+
+(* An arrival posted in window r is numbered at barrier r, after every
+   LP has run window r: on a tie it runs after an event its receiver
+   scheduled for the same instant during that window, whichever domain
+   ran either LP. *)
+let barrier_tie_order ~domains =
+  let t = Parallel.create ~lps:2 ~lookahead:1.0 () in
+  let order = ref [] in
+  let note s () = order := s :: !order in
+  ignore
+    (Engine.schedule_abs (Parallel.engine t 0) ~at:0.0 (fun () ->
+         Parallel.post t ~src:0 ~dst:1 ~at:1.0 (note "remote")));
+  ignore
+    (Engine.schedule_abs (Parallel.engine t 1) ~at:0.0 (fun () ->
+         ignore (Engine.schedule_abs (Parallel.engine t 1) ~at:1.0 (note "local"))));
+  Parallel.run ~domains t;
+  String.concat "," (List.rev !order)
+
+let test_barrier_tie_order () =
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "lp 1 order at domains %d" domains)
+        "local,remote" (barrier_tie_order ~domains))
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* K = 1 degrades byte-identically to the plain sequential engine. *)
@@ -128,7 +134,7 @@ let test_k1_matches_sequential () =
   Alcotest.(check string) "k=1 trace equals sequential engine" seq_trace par_trace
 
 (* ------------------------------------------------------------------ *)
-(* Cluster: cross-shard datagrams arrive through the channels. *)
+(* Cluster: cross-shard datagrams arrive through the barrier drain. *)
 
 let test_cluster_cross_shard_delivery () =
   let c = Cluster.create ~lps:2 () in
@@ -244,8 +250,9 @@ let () =
     [ ( "prng",
         [ Alcotest.test_case "pinned stream sequences" `Quick test_stream_pinned;
           Alcotest.test_case "stream stability" `Quick test_stream_stable ] );
-      ("channel", [ Alcotest.test_case "fifo across spill" `Quick test_channel_fifo_spill ]);
-      ("post", [ Alcotest.test_case "validation and propagation" `Quick test_post_validation ]);
+      ( "post",
+        [ Alcotest.test_case "validation and propagation" `Quick test_post_validation;
+          Alcotest.test_case "tie: local before remote" `Quick test_barrier_tie_order ] );
       ( "degradation",
         [ Alcotest.test_case "k=1 equals sequential" `Quick test_k1_matches_sequential ] );
       ( "cluster",
