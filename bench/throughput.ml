@@ -250,22 +250,18 @@ module Causal = Circus_trace.Causal
 let bench_trace_overhead ~iterations ~n =
   let timed ~causal =
     if causal then begin
-      (* A quiet, category-filtered sink: causal events are recorded
-         while the firehose instrumentation stays asleep ([Trace.on]
-         reports false) — the configuration the scenario's
-         attribution mode runs. *)
-      ignore (Trace.start ~cats:[ Causal.cat ] ~quiet:true ~clock:(fun () -> 0.0) ());
-      Causal.set_enabled true;
+      (* A quiet causal sink: causal events are recorded while the
+         firehose instrumentation stays asleep ([Trace.on] reports
+         false) — the configuration the scenario's attribution mode
+         runs. *)
+      ignore (Trace.start ~quiet:true ~causal:true ~clock:(fun () -> 0.0) ());
       Causal.reset ()
     end;
     Gc.full_major ();
     let t0 = now_s () in
     ignore (Workloads.circus_row ~iterations ~n ());
     let t = now_s () -. t0 in
-    if causal then begin
-      Causal.set_enabled false;
-      Trace.stop ()
-    end;
+    if causal then Trace.stop ();
     t
   in
   (* The two walls of one back-to-back pair see the same machine
@@ -509,8 +505,19 @@ let scenario_main kind =
   (match r.Scenario.causal with
   | None -> ()
   | Some a ->
-    Printf.printf "\ncritical-path attribution (%d requests, %d incomplete chains, %d dropped events)\n"
-      (List.length a.Causal.paths) a.Causal.incomplete r.Scenario.trace_dropped;
+    let covered = List.length a.Causal.paths in
+    Printf.printf
+      "\ncritical-path attribution (%d of %d completed requests, %d incomplete chains, %d \
+       dropped events)\n"
+      covered r.Scenario.completed a.Causal.incomplete r.Scenario.trace_dropped;
+    (* A full ring overwrites the oldest events, so the early requests'
+       chains are lost and the quantiles below describe a biased
+       sample. *)
+    if r.Scenario.trace_dropped > 0 then
+      Printf.printf
+        "WARNING: the trace ring overflowed (%d events dropped); attribution covers %d of %d \
+         completed requests. Raise --trace-cap (now %d per shard) to cover them all.\n"
+        r.Scenario.trace_dropped covered r.Scenario.completed trace_capacity;
     Printf.printf "%-16s | %13s | %10s | %10s\n" "stage" "p50 comp (ms)" "p50 (ms)" "p99 (ms)";
     let comps = Causal.stage_components a 0.5 in
     Array.iteri

@@ -94,7 +94,9 @@ let host t id = Net.host (net_of_host t id) id
 let run ?until ?max_events ?domains t = Parallel.run ?until ?max_events ?domains t.par
 let executed t = Parallel.executed t.par
 let now t = Parallel.now t.par
-let enable_tracing ?capacity ?cats ?quiet t = Parallel.enable_tracing ?capacity ?cats ?quiet t.par
+let enable_tracing ?capacity ?quiet ?causal t =
+  Parallel.enable_tracing ?capacity ?quiet ?causal t.par
+
 let with_lp t i f = Parallel.with_lp t.par i f
 let merged_events t = Parallel.merged_events t.par
 let merged_dropped t = Parallel.merged_dropped t.par

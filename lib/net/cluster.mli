@@ -46,7 +46,9 @@ val now : t -> float
 
 (** {1 Tracing} *)
 
-val enable_tracing : ?capacity:int -> ?cats:string list -> ?quiet:bool -> t -> unit
+val enable_tracing : ?capacity:int -> ?quiet:bool -> ?causal:bool -> t -> unit
+(** One trace sink per shard; see {!Circus_sim.Parallel.enable_tracing}. *)
+
 val with_lp : t -> int -> (unit -> 'a) -> 'a
 val merged_events : t -> Circus_trace.Event.t list
 val merged_dropped : t -> int

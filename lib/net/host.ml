@@ -166,21 +166,15 @@ let[@inline] charge_account t meter kind cost ~op =
   (* Syscall enter/exit with its metered cost: rendered as a complete
      slice ([ph:"X"]) on this host's track.  [queued] records how long
      the call waited behind earlier CPU work. *)
-  if Trace.on () then begin
-    match kind with
-    | `User ->
-      Trace.incr "cpu.user_calls";
-      Trace.observe "cpu.user" cost
-    | `Kernel name ->
-      Trace.emit ~cat:"syscall" ~host:t.id
-        ~phase:(Circus_trace.Event.Complete cost)
-        ~args:
-          [ ("cost", Circus_trace.Event.Float cost);
-            ("queued", Circus_trace.Event.Float (start -. now)) ]
-        name;
-      Trace.incr ("syscall." ^ name);
-      Trace.observe ("syscall." ^ name) cost
-  end;
+  (match kind with
+  | `Kernel name when Trace.on () ->
+    Trace.emit ~cat:"syscall" ~host:t.id
+      ~phase:(Circus_trace.Event.Complete cost)
+      ~args:
+        [ ("cost", Circus_trace.Event.Float cost);
+          ("queued", Circus_trace.Event.Float (start -. now)) ]
+      name
+  | _ -> ());
   (match meter with
   | None -> ()
   | Some m -> (

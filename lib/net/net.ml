@@ -298,8 +298,7 @@ let trace_dgram t name ~(dgram : datagram) ~reason =
     in
     let args = match reason with Some r -> ("reason", Tev.Str r) :: args | None -> args in
     let host = if name = "deliver" then dgram.dst.Addr.host else dgram.src.Addr.host in
-    Trace.emit ~cat:"net" ~host ~args name;
-    Trace.incr ("net." ^ name)
+    Trace.emit ~cat:"net" ~host ~args name
   end;
   ignore t
 

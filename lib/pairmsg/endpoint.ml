@@ -213,7 +213,6 @@ and retransmit_tick t out ~inc =
     else begin
       let next = out.o_acked + 1 in
       if next <= Array.length out.o_segments then begin
-        if Trace.on () then Trace.incr "pairmsg.retransmits";
         (* The retransmit stall joins the causal chain here: the resent
            segment's "xmit" parents on this "rexmit", which parents on
            the context the message started from. *)
@@ -523,13 +522,24 @@ let handle_ack t ~src seg =
     if out.o_acked >= Array.length out.o_segments then finish_outgoing t out
 
 let handle_probe t ~src call_no =
+  let return = Itab.find_opt t.outgoing (msg_key src Segment.Return call_no) in
   let known =
     Itab.mem t.incoming (msg_key src Segment.Call call_no)
-    || Itab.mem t.outgoing (msg_key src Segment.Return call_no)
+    || Option.is_some return
     || cn_int call_no <= completed_up_to t src
   in
   if known then send_segment t ~dst:src (Segment.probe_ack ~call_no)
-  else send_segment t ~dst:src (Segment.reject ~call_no)
+  else send_segment t ~dst:src (Segment.reject ~call_no);
+  (* A probe for a Return that gave up means its caller is alive and
+     still waiting (say, across a partition that outlasted the
+     retransmissions): resume sending it, or the probe acks above keep
+     the caller waiting forever. *)
+  match return with
+  | Some out when out.o_failed ->
+    out.o_failed <- false;
+    out.o_attempts <- 0;
+    retransmit_start t out ~inc:(Host.incarnation t.host)
+  | Some _ | None -> ()
 
 (* Implicit acknowledgments (§4.2.2): a return segment acknowledges the
    matching call message; a call segment acknowledges any earlier

@@ -148,15 +148,13 @@ let send conn body =
           match Condition.await_timeout (Host.engine conn.host) conn.ack_cond rto_now with
           | `Signalled -> await ()
           | `Timeout ->
-            if Trace.on () then begin
-              Trace.incr "tcp.retransmits";
+            if Trace.on () then
               Trace.emit ~cat:"tcp" ~host:(Host.id conn.host)
                 ~args:
                   [ ("seq", Tev.I32 seq);
                     ("dst", Tev.Int conn.peer.Addr.host);
                     ("rto", Tev.Float (backoff rto_now)) ]
-                "retransmit"
-            end;
+                "retransmit";
             push (backoff rto_now)
       in
       await ()

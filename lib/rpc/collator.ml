@@ -1,5 +1,4 @@
 open Circus_net
-module Trace = Circus_trace.Trace
 
 type reply = { from : Addr.module_addr; message : Rpc_msg.return_msg option }
 type t = total:int -> reply Seq.t -> Rpc_msg.return_msg
@@ -8,18 +7,12 @@ exception Disagreement
 exception No_majority
 exception Troupe_failed
 
-(* Collation policies are pure, so instrumentation is metrics-only: a
-   counter per policy, plus one for detected disagreements — the
-   quantity the paper's voting discussion (§4.3.4) turns on. *)
-let tick name = if Trace.on () then Trace.incr ("rpc.collate." ^ name)
-
 (* The scan loops below thread their state through arguments of
    top-level recursive functions rather than capturing it in closures:
    collation runs once per RPC, and the closure-free form keeps the
    whole vote-counting path out of the per-call allocation budget
    (asserted by the allocation regression test). *)
 let unanimous ~total:_ replies =
-  tick "unanimous";
   let rec scan repr s =
     match s () with
     | Seq.Nil -> ( match repr with Some msg -> msg | None -> raise Troupe_failed)
@@ -30,16 +23,11 @@ let unanimous ~total:_ replies =
         match repr with
         | None -> scan (Some msg) rest
         | Some first ->
-          if msg <> first then begin
-            tick "disagreement";
-            raise Disagreement
-          end
-          else scan repr rest))
+          if msg <> first then raise Disagreement else scan repr rest))
   in
   scan None replies
 
 let first_come ~total:_ replies =
-  tick "first_come";
   let rec scan s =
     match s () with
     | Seq.Nil -> raise Troupe_failed
@@ -90,12 +78,10 @@ let count_votes ~threshold ~total replies =
   scan replies
 
 let majority ~total replies =
-  tick "majority";
   let threshold = (total / 2) + 1 in
   count_votes ~threshold ~total replies
 
 let quorum k ~total replies =
-  tick "quorum";
   if k < 1 || k > total then invalid_arg "Collator.quorum: bad quorum size";
   try count_votes ~threshold:k ~total replies with No_majority -> raise Troupe_failed
 

@@ -149,22 +149,13 @@ let run ?(domains = 1) ?chaos ?(tracing = false) ?trace_capacity ?(causal = fals
   let params = { Net.default_params with propagation = 1e-3 } in
   let cluster = Cluster.create ~seed:spec.seed ~params ~lps () in
   let want_trace = tracing || causal in
-  if want_trace then begin
-    (* Attribution only needs the causal category, and a *quiet* sink
-       makes it cheap: [Trace.on ()] reports false, so the firehose
-       instrumentation sites throughout the stack never even build
-       their argument lists, while the causal module's direct emits
-       still record.  An explicit [tracing] keeps every category and a
-       normal (loud) sink, as before. *)
-    let causal_only = causal && not tracing in
-    Cluster.enable_tracing ?capacity:trace_capacity
-      ?cats:(if causal_only then Some [ Causal.cat ] else None)
-      ?quiet:(if causal_only then Some true else None)
-      cluster
-  end;
-  let prev_causal = Causal.on () in
-  Causal.set_enabled causal;
-  if causal then Causal.reset ();
+  (* Attribution only needs the causal stream, and a *quiet* sink makes
+     it cheap: [Trace.on ()] reports false, so the firehose
+     instrumentation sites throughout the stack never even build their
+     argument lists, while the causal module's direct emits still
+     record.  An explicit [tracing] keeps a normal (loud) sink. *)
+  if want_trace then
+    Cluster.enable_tracing ?capacity:trace_capacity ~quiet:(not tracing) ~causal cluster;
 
   (* --- World layout (main domain; cheap bookkeeping only). --- *)
   let rm_hosts = Array.make_matrix spec.rm_partitions spec.rm_replicas (-1) in
@@ -491,7 +482,6 @@ let run ?(domains = 1) ?chaos ?(tracing = false) ?trace_capacity ?(causal = fals
   in
 
   Cluster.run ~until:horizon ~domains cluster;
-  Causal.set_enabled prev_causal;
 
   (* --- Deterministic aggregation: merge per-shard registries in shard
      order. --- *)

@@ -164,7 +164,6 @@ let rec step t =
     end
     else begin
       t.now <- ev.time;
-      if Trace.on () then Trace.incr "engine.events";
       ev.run ();
       true
     end

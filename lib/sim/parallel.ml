@@ -93,12 +93,13 @@ let engine t i = t.lps.(i).engine
 let executed t = Array.fold_left (fun acc l -> acc + l.executed) 0 t.lps
 let now t = Array.fold_left (fun acc l -> Float.max acc (Engine.now l.engine)) 0.0 t.lps
 
-let enable_tracing ?capacity ?cats ?quiet t =
+let enable_tracing ?capacity ?quiet ?causal t =
   t.tracing <- true;
   Array.iter
     (fun l ->
       let engine = l.engine in
-      l.sink <- Some (Trace.make_sink ?capacity ?cats ?quiet ~clock:(fun () -> Engine.now engine) ()))
+      l.sink <-
+        Some (Trace.make_sink ?capacity ?quiet ?causal ~clock:(fun () -> Engine.now engine) ()))
     t.lps
 
 let with_lp t i f =

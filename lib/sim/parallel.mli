@@ -62,12 +62,12 @@ val run : ?until:float -> ?max_events:int -> ?domains:int -> t -> unit
 
     One sink per LP, merged deterministically at export. *)
 
-val enable_tracing : ?capacity:int -> ?cats:string list -> ?quiet:bool -> t -> unit
+val enable_tracing : ?capacity:int -> ?quiet:bool -> ?causal:bool -> t -> unit
 (** Give every LP its own trace sink, driven by its engine clock.
     During rounds each domain records into the sink of the LP it is
-    running; use {!merged_events} for the combined stream.  [cats]
-    restricts recording to the named categories (see
-    {!Circus_trace.Trace.make_sink}). *)
+    running; use {!merged_events} for the combined stream.  [quiet]
+    and [causal] configure each sink ({!Circus_trace.Trace.make_sink});
+    causal ids come from the LP's sink, so they follow the LP. *)
 
 val with_lp : t -> int -> (unit -> 'a) -> 'a
 (** [with_lp t i f] runs [f] with LP [i]'s sink installed on the

@@ -6,19 +6,18 @@
    origin and propagated out-of-band — the simulated network carries
    them on a metadata field of the in-flight datagram, never in
    [payload], so the wire byte count (and with it every byte-pinned
-   golden: segmentation, charges, timing) is unchanged.  With the
-   flag off ([on () = false]) the instrumented sites pay one atomic
-   load and emit nothing, so plain traces are byte-identical to a
-   build without causal tracing at all.
+   golden: segmentation, charges, timing) is unchanged.  With causal
+   recording off ([on () = false]) the instrumented sites pay one
+   domain-local load and emit nothing, so plain traces are
+   byte-identical to a build without causal tracing at all.
 
-   Determinism.  Request and span ids are minted from per-host
-   counters kept in domain-local storage.  Every event of host [h]
-   executes on the one logical process that owns [h], and one LP
-   always runs on one domain at a time, so the counter stream of a
-   host is a pure function of that host's (deterministic) event
-   order — the domain *count* never reaches the ids.  Equal seeds
-   therefore give byte-identical causal streams at any [--domains],
-   which CI enforces with d1-vs-d4 [cmp]s of attribution reports.
+   Determinism.  All causal state — the on/off flag and the per-host
+   id counters — lives on the calling domain's trace sink.  The
+   parallel engine gives each LP its own sink, so a host's counter
+   stream is a pure function of its (deterministic) event order: the
+   domain running the LP never reaches the ids.  Equal seeds therefore
+   give byte-identical causal streams at any [--domains], which CI
+   enforces with d1-vs-d4 [cmp]s of attribution reports.
 
    Layering.  This module lives in [circus_trace] and cannot see the
    simulator, but the natural home of the ambient context is the
@@ -41,44 +40,32 @@ let req_of c = c lsr span_bits
 let span_of c = c land 0xFFFF_FFFF
 let pack ~req ~span = (req lsl span_bits) lor span
 
-(* ------------------------------------------------------------------ *)
-(* Enable flag: separate from [Trace.on] so plain tracing (the
-   quickstart/chaos goldens) sees zero new events and unchanged
-   sequence numbers. *)
+let[@inline] on () =
+  match Trace.active () with Some s -> (Trace.causal s).on | None -> false
 
-let enabled = Atomic.make false
-let on () = Atomic.get enabled
-let set_enabled v = Atomic.set enabled v
+let set_enabled v = match Trace.active () with Some s -> (Trace.causal s).on <- v | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic id minting: per-host counters in domain-local
-   growable arrays. *)
+(* Deterministic id minting from the sink's per-host counters: slot
+   [2h] counts host [h]'s requests, slot [2h + 1] its spans. *)
 
-type counters = { mutable req_c : int array; mutable span_c : int array }
+let bump (c : Trace.causal) i =
+  if i >= Array.length c.counts then begin
+    let g = Array.make (Int.max (i + 1) (2 * Array.length c.counts)) 0 in
+    Array.blit c.counts 0 g 0 (Array.length c.counts);
+    c.counts <- g
+  end;
+  let v = c.counts.(i) + 1 in
+  c.counts.(i) <- v;
+  v
 
-let counters_key : counters Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { req_c = Array.make 64 0; span_c = Array.make 64 0 })
+let mint_req c host =
+  let h = Int.max host 0 in
+  ((h + 1) lsl 18) lor (bump c (2 * h) land 0x3FFFF)
 
-let grow a n =
-  let g = Array.make (max n (2 * Array.length a)) 0 in
-  Array.blit a 0 g 0 (Array.length a);
-  g
-
-let mint_req host =
-  let h = if host >= 0 then host else 0 in
-  let c = Domain.DLS.get counters_key in
-  if h >= Array.length c.req_c then c.req_c <- grow c.req_c (h + 1);
-  let v = c.req_c.(h) + 1 in
-  c.req_c.(h) <- v;
-  ((h + 1) lsl 18) lor (v land 0x3FFFF)
-
-let mint_span host =
-  let h = if host >= 0 then host else 0 in
-  let c = Domain.DLS.get counters_key in
-  if h >= Array.length c.span_c then c.span_c <- grow c.span_c (h + 1);
-  let v = c.span_c.(h) + 1 in
-  c.span_c.(h) <- v;
-  ((h + 1) lsl 20) lor (v land 0xFFFFF)
+let mint_span c host =
+  let h = Int.max host 0 in
+  ((h + 1) lsl 20) lor (bump c ((2 * h) + 1) land 0xFFFFF)
 
 (* ------------------------------------------------------------------ *)
 (* Ambient context *)
@@ -95,9 +82,9 @@ let current () = !ambient_get ()
 let set_current c = !ambient_set c
 
 let reset () =
-  let c = Domain.DLS.get counters_key in
-  Array.fill c.req_c 0 (Array.length c.req_c) 0;
-  Array.fill c.span_c 0 (Array.length c.span_c) 0;
+  (match Trace.active () with
+  | Some s -> (Trace.causal s).counts <- [||]
+  | None -> ());
   set_current none;
   Domain.DLS.get fallback := none
 
@@ -113,22 +100,26 @@ let emit_ev ~host ~fiber ~req ~span ~parent ~args name =
     name
 
 let root ?(fiber = -1) ?(args = []) ~host name =
-  let req = mint_req host in
-  let span = mint_span host in
-  emit_ev ~host ~fiber ~req ~span ~parent:0 ~args name;
-  pack ~req ~span
+  match Trace.active () with
+  | None -> none
+  | Some s ->
+    let c = Trace.causal s in
+    let req = mint_req c host in
+    let span = mint_span c host in
+    emit_ev ~host ~fiber ~req ~span ~parent:0 ~args name;
+    pack ~req ~span
 
 let step ?parent ?(set_ambient = true) ?(fiber = -1) ?(args = []) ~host name =
   let base = match parent with Some p when p <> none -> p | _ -> current () in
-  if base = none then none
-  else begin
+  match Trace.active () with
+  | Some s when base <> none ->
     let req = req_of base in
-    let span = mint_span host in
+    let span = mint_span (Trace.causal s) host in
     emit_ev ~host ~fiber ~req ~span ~parent:(span_of base) ~args name;
     let c = pack ~req ~span in
     if set_ambient then set_current c;
     c
-  end
+  | _ -> none
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path extraction and latency attribution.

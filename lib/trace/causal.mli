@@ -5,12 +5,14 @@
     the call origin ({!root}), advanced at every causal step ({!step}),
     and carried *out-of-band* on simulated datagrams — zero bytes on
     the wire, so byte-pinned goldens (segmentation, charges, timing)
-    are untouched.  All ids come from per-host domain-local counters,
-    so equal seeds give byte-identical causal streams at any domain
-    count.
+    are untouched.
 
-    Enabled separately from [Trace.on]: with the flag off every
-    instrumented site pays one atomic load and emits nothing. *)
+    All causal state lives on the calling domain's trace sink: the
+    on/off flag and the per-host id counters.  The parallel engine
+    gives each logical process its own sink, so ids follow the LP, and
+    equal seeds give byte-identical causal streams at any domain
+    count.  With causal recording off every instrumented site pays one
+    domain-local load and emits nothing. *)
 
 type ctx = int
 
@@ -20,12 +22,15 @@ val span_of : ctx -> int
 val pack : req:int -> span:int -> ctx
 
 val on : unit -> bool
+(** True iff the calling domain's sink records causal events. *)
+
 val set_enabled : bool -> unit
+(** Turn causal recording on or off in the calling domain's sink; a
+    no-op without one. *)
 
 val reset : unit -> unit
-(** Zero the calling domain's id counters and ambient context.  Call
-    before a run whose causal stream must be reproducible within the
-    same process (fresh worker domains start zeroed already). *)
+(** Zero the id counters of the calling domain's sink and the ambient
+    context.  A fresh sink starts zeroed already. *)
 
 val register_ambient : get:(unit -> ctx) -> set:(ctx -> unit) -> unit
 (** Dependency inversion for the ambient context: the fiber scheduler
@@ -42,7 +47,8 @@ val cat : string
 val root : ?fiber:int -> ?args:(string * Event.arg) list -> host:int -> string -> ctx
 (** Mint a fresh request at its origin and emit the root event
     (parent 0).  Does *not* touch the ambient context — roots are
-    minted from engine callbacks where no fiber is running. *)
+    minted from engine callbacks where no fiber is running.  Returns
+    [none] when no sink is installed. *)
 
 val step :
   ?parent:ctx ->
@@ -56,7 +62,8 @@ val step :
     with the parent taken from [?parent] (if non-[none]) or the
     ambient context, and — unless [set_ambient:false] — store the new
     context as ambient.  Returns the new context, or [none] when there
-    was no context to advance (then nothing is emitted). *)
+    was no context to advance or no sink is installed (then nothing is
+    emitted). *)
 
 (** {1 Critical-path extraction} *)
 

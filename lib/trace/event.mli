@@ -44,4 +44,3 @@ val pp : Format.formatter -> t -> unit
 val pp_arg : Format.formatter -> arg -> unit
 val arg : t -> string -> arg option
 val int_arg : t -> string -> int option
-val str_arg : t -> string -> string option

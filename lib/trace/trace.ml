@@ -6,7 +6,7 @@
        the simulator guard every emission with [if Trace.on () then
        ...]; the argument lists, strings, and event records are only
        built when a sink is installed.  With tracing off the hot path
-       pays one load of a mutable bool.
+       pays one domain-local load.
 
    2.  Determinism.  Events carry the simulated clock and a global
        emission sequence number.  Because the engine is deterministic,
@@ -19,24 +19,25 @@
 
    4.  Domain safety.  The installed sink is *domain-local* (one slot
        per OCaml domain, via [Domain.DLS]), not process-global: the
-       parallel engine runs one logical process per domain, each
-       recording into its own sink, and unsynchronized writes to a
-       shared ring would be both a data race and a determinism hole.
-       On the hot path this costs one DLS load (an array index off the
-       domain record) instead of one ref load — noise next to the
-       event construction it guards. *)
+       parallel engine gives each logical process its own sink and
+       installs it on whichever domain runs that LP, and unsynchronized
+       writes to a shared ring would be both a data race and a
+       determinism hole.  The sink owns all tracing state — ring,
+       clock, quiet flag and the causal state — so nothing about
+       tracing is reachable from two LPs. *)
+
+(* The causal state, read and written by [Causal]: whether causal sites
+   record into the sink, and the per-host request/span id counters. *)
+type causal = { mutable on : bool; mutable counts : int array }
 
 type sink = {
   ring : Event.t Ring.t;
-  metrics : Metrics.t;
   clock : unit -> float;
-  cats : string list option;  (* record only these categories when Some *)
   quiet : bool;
-      (* [on ()] reports false: sites that guard with [if Trace.on ()]
-         skip entirely (no argument lists built, no filtered emits),
-         while direct [emit] calls — the causal instrumentation — still
-         record.  This is what makes causal-only attribution cheap:
-         the firehose instrumentation never wakes up. *)
+      (* [on ()] reports false, so every guarded (non-causal) site
+         stays asleep while the causal module's direct [emit]s still
+         record: a quiet sink holds exactly the causal stream. *)
+  causal : causal;
   mutable seq : int;
 }
 
@@ -47,34 +48,29 @@ let[@inline] on () =
 
 let default_capacity = 65_536
 
-let make_sink ?(capacity = default_capacity) ?cats ?(quiet = false) ~clock () =
-  { ring = Ring.create ~capacity; metrics = Metrics.create (); clock; cats; quiet; seq = 0 }
+let make_sink ?(capacity = default_capacity) ?(quiet = false) ?(causal = false) ~clock () =
+  { ring = Ring.create ~capacity; clock; quiet; causal = { on = causal; counts = [||] }; seq = 0 }
 
 let use s = Domain.DLS.get slot := s
 
-let install sink =
-  use (Some sink);
-  sink
+let start ?capacity ?quiet ?causal ~clock () =
+  let s = make_sink ?capacity ?quiet ?causal ~clock () in
+  use (Some s);
+  s
 
-let start ?capacity ?cats ?quiet ~clock () = install (make_sink ?capacity ?cats ?quiet ~clock ())
 let stop () = use None
 let active () = !(Domain.DLS.get slot)
 let with_sink f = match !(Domain.DLS.get slot) with Some s -> f s | None -> ()
+let causal s = s.causal
 
 (* ------------------------------------------------------------------ *)
 (* Emission *)
 
 let emit ?(phase = Event.Instant) ?(host = -1) ?(fiber = -1) ?(args = []) ~cat name =
   with_sink (fun s ->
-      let keep =
-        match s.cats with None -> true | Some cs -> List.exists (String.equal cat) cs
-      in
-      if keep then begin
-        let seq = s.seq in
-        s.seq <- seq + 1;
-        Ring.push s.ring
-          (Event.make ~seq ~time:(s.clock ()) ~cat ~name ~phase ~host ~fiber ~args)
-      end)
+      let seq = s.seq in
+      s.seq <- seq + 1;
+      Ring.push s.ring (Event.make ~seq ~time:(s.clock ()) ~cat ~name ~phase ~host ~fiber ~args))
 
 let span_begin ?host ?fiber ?args ~cat name = emit ~phase:Event.Begin ?host ?fiber ?args ~cat name
 let span_end ?host ?fiber ?args ~cat name = emit ~phase:Event.End ?host ?fiber ?args ~cat name
@@ -93,26 +89,12 @@ let span ?host ?fiber ?args ~cat name f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Metrics *)
-
-let incr ?by name = with_sink (fun s -> Metrics.incr ?by s.metrics name)
-let observe name v = with_sink (fun s -> Metrics.observe s.metrics name v)
-let metrics () = match active () with Some s -> Some s.metrics | None -> None
-
-(* ------------------------------------------------------------------ *)
 (* Inspection *)
 
 let sink_events s = Ring.to_list s.ring
-let sink_metrics s = s.metrics
 let sink_dropped s = Ring.dropped s.ring
-let sink_clear s =
-  Ring.clear s.ring;
-  Metrics.reset s.metrics;
-  s.seq <- 0
-
 let events () = match active () with Some s -> sink_events s | None -> []
 let dropped () = match active () with Some s -> sink_dropped s | None -> 0
-let clear () = match active () with Some s -> sink_clear s | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Trace-based assertions: protocol-level properties over the recorded

@@ -1,13 +1,15 @@
 (** The structured event recorder.
 
     A {e domain-local} sink receives typed events ({!Event.t}) into a
-    fixed-capacity ring buffer and aggregates counters/histograms into a
-    {!Metrics.t} registry.  Each OCaml domain has its own sink slot
-    (the parallel engine records one trace per logical process and
-    merges them deterministically at export); single-domain programs
-    see the familiar "one global sink" behaviour.  When no sink is
-    installed the recorder costs one domain-local load:
-    instrumentation sites must guard emission with
+    fixed-capacity ring buffer.  The sink owns all tracing state: its
+    ring, its clock, the [quiet] flag, and the causal state — whether
+    {!Causal} sites record, and the per-host id counters they mint
+    from.  Each OCaml domain has its own sink slot (the parallel engine
+    gives every logical process its own sink, installs it on whichever
+    domain runs that LP, and merges the streams deterministically at
+    export); single-domain programs see the familiar "one global sink"
+    behaviour.  When no sink is installed the recorder costs one
+    domain-local load: instrumentation sites must guard emission with
     [if Trace.on () then Trace.emit ...] so argument lists are never
     allocated for a disabled trace.
 
@@ -19,24 +21,25 @@
 type sink
 
 val on : unit -> bool
-(** True iff a sink is installed and recording on the calling domain. *)
+(** True iff a sink is installed on the calling domain and is not
+    quiet. *)
 
 val start :
-  ?capacity:int -> ?cats:string list -> ?quiet:bool -> clock:(unit -> float) -> unit -> sink
+  ?capacity:int -> ?quiet:bool -> ?causal:bool -> clock:(unit -> float) -> unit -> sink
 (** Install a fresh sink on the calling domain.  [clock] supplies event
     timestamps — pass the simulation clock, never wall time.
     [capacity] is the ring size in events (default 65536); on overflow
     the oldest events are overwritten and counted in {!dropped}.
-    [cats] restricts recording to the named categories (filtered
-    events consume neither ring space nor sequence numbers) — the
-    attribution pipeline uses this to keep full causal chains inside a
-    bounded ring. *)
+    [causal] (default false) turns the {!Causal} sites on.  A [quiet]
+    sink (default false) makes {!on} report false: every non-causal
+    site is guarded by {!on}, so a quiet causal sink records exactly
+    the causal stream. *)
 
 val stop : unit -> unit
 val active : unit -> sink option
 
 val make_sink :
-  ?capacity:int -> ?cats:string list -> ?quiet:bool -> clock:(unit -> float) -> unit -> sink
+  ?capacity:int -> ?quiet:bool -> ?causal:bool -> clock:(unit -> float) -> unit -> sink
 (** Build a sink without installing it anywhere — {!start} is
     [make_sink] + {!use}.  The parallel engine creates one per logical
     process and installs it on whichever domain runs that LP. *)
@@ -47,6 +50,13 @@ val use : sink option -> unit
     {!stop}.  The parallel engine uses this to point each worker
     domain at its logical process's sink without creating a fresh
     one. *)
+
+type causal = { mutable on : bool; mutable counts : int array }
+(** A sink's causal state, read and written by {!Causal}: whether
+    causal sites record into the sink, and its per-host request and
+    span id counters. *)
+
+val causal : sink -> causal
 
 (** {1 Emission} *)
 
@@ -79,24 +89,14 @@ val span :
     the End with [raised=true] if [f] raises).  Runs [f] directly when
     tracing is off. *)
 
-(** {1 Metrics} *)
-
-val incr : ?by:int -> string -> unit
-val observe : string -> float -> unit
-val metrics : unit -> Metrics.t option
-
 (** {1 Inspection} *)
 
 val events : unit -> Event.t list
 (** Recorded events, oldest first; [[]] when no sink is installed. *)
 
 val dropped : unit -> int
-val clear : unit -> unit
-
 val sink_events : sink -> Event.t list
-val sink_metrics : sink -> Metrics.t
 val sink_dropped : sink -> int
-val sink_clear : sink -> unit
 
 (** {1 Trace-based assertions}
 

@@ -80,7 +80,6 @@ let run ctx ~store ~coordinator ?backoff ?(max_attempts = 8) body =
       if attempt_no >= max_attempts then
         raise (Runtime.Remote_error (Printf.sprintf "transaction failed after %d attempts: %s" attempt_no reason))
       else begin
-        if Trace.on () then Trace.incr "txn.retries";
         Fiber.sleep (Backoff.next_delay backoff);
         loop (attempt_no + 1)
       end

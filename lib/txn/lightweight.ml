@@ -41,12 +41,8 @@ let lock t txn key mode =
             ("mode", Tev.Str (match mode with Lock_manager.Read -> "read" | Write -> "write")) ]
         "lock"
   | `Deadlock ->
-    if Trace.on () then begin
-      Trace.incr "txn.deadlocks";
-      Trace.emit ~cat:"txn"
-        ~args:[ ("txn", Tev.Int txn.id); ("key", Tev.Str key) ]
-        "deadlock"
-    end;
+    if Trace.on () then
+      Trace.emit ~cat:"txn" ~args:[ ("txn", Tev.Int txn.id); ("key", Tev.Str key) ] "deadlock";
     raise Deadlock
 
 let get t txn key =

@@ -26,15 +26,9 @@ let make_world ?params ?seed () =
    simulated time — the configuration the scenario's attribution mode
    uses.  Returns [f]'s result and the recorded events. *)
 let with_causal w f =
-  ignore
-    (Trace.start ~cats:[ Causal.cat ] ~quiet:true ~clock:(fun () -> Engine.now w.engine) ());
-  Causal.set_enabled true;
+  ignore (Trace.start ~quiet:true ~causal:true ~clock:(fun () -> Engine.now w.engine) ());
   Causal.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Causal.set_enabled false;
-      Trace.stop ())
-    (fun () ->
+  Fun.protect ~finally:Trace.stop (fun () ->
       let v = f () in
       (v, Trace.events ()))
 
@@ -179,6 +173,27 @@ let test_expect_follows () =
   in
   ()
 
+let test_quiet_sink_records_only_causal () =
+  (* A quiet sink keeps the firehose asleep: every non-causal site is
+     guarded by [Trace.on ()], so the sink holds the causal stream and
+     nothing else, even across loss, retransmits and a member crash. *)
+  let params = { Net.default_params with loss = 0.2 } in
+  let w = make_world ~params ~seed:17 () in
+  let troupe, hosts = echo_troupe w 3 in
+  let (r, evs) =
+    with_causal w (fun () ->
+        ignore
+          (Engine.schedule w.engine ~delay:0.0001 (fun () -> Host.crash (List.nth hosts 2)));
+        client_call w troupe (bytes_of "quiet"))
+  in
+  Alcotest.(check string) "call completed" "quiet" (string_of r);
+  Alcotest.(check bool) "causal events recorded" true (evs <> []);
+  List.iter
+    (fun e ->
+      if not (String.equal e.Event.cat Causal.cat) then
+        Alcotest.failf "quiet causal sink recorded %s/%s" e.Event.cat e.Event.name)
+    evs
+
 let test_analysis_deterministic () =
   (* Two identically-seeded worlds produce byte-identical attribution
      reports. *)
@@ -255,7 +270,9 @@ let () =
       ( "invariants",
         [ Alcotest.test_case "quorum + reply-after-call" `Quick test_invariants_clean_call;
           Alcotest.test_case "expect follows" `Quick test_expect_follows;
-          Alcotest.test_case "deterministic analysis" `Quick test_analysis_deterministic ] );
+          Alcotest.test_case "deterministic analysis" `Quick test_analysis_deterministic;
+          Alcotest.test_case "quiet sink records only causal" `Quick
+            test_quiet_sink_records_only_causal ] );
       ( "metrics",
         [ Alcotest.test_case "quantile edges" `Quick test_metrics_quantile_edges;
           Alcotest.test_case "merge disjoint ranges" `Quick test_metrics_merge_disjoint;

@@ -213,6 +213,38 @@ let arg_is name value (e : Tev.t) =
   | Some (Tev.Str s) -> String.equal s value
   | _ -> false
 
+let test_return_resumes_after_give_up () =
+  (* The server works on the call for 0.5 s (long enough for the call
+     to be acked and the client to start probing), then replies into a
+     partition.  Its Return gives up (max_retransmits) before the
+     partition heals,
+     while the client, still inside its crash timeout, waits.  After
+     the heal the client's probes reach the server, and a probe for a
+     given-up Return must resume its retransmission: otherwise the
+     server acks every probe and the client waits forever. *)
+  let w = make_world () in
+  let _sink = Engine.enable_tracing w.engine in
+  Fun.protect ~finally:Trace.stop (fun () ->
+      let ep_server = Endpoint.create w.env w.server_host ~port:50 () in
+      Endpoint.set_handler ep_server (fun ~src ~call_no body ->
+          Fiber.sleep 0.5;
+          Net.set_partition_for w.net
+            [ [ Host.id w.client_host ]; [ Host.id w.server_host ] ]
+            ~duration:1.5;
+          Endpoint.reply ep_server ~dst:src ~call_no body);
+      let answer = ref None in
+      ignore
+        (Host.spawn w.client_host (fun () ->
+             let ep = Endpoint.create w.env w.client_host () in
+             answer :=
+               Some
+                 (match Endpoint.call ep ~dst:(Endpoint.addr ep_server) (Bytes.of_string "x") with
+                 | reply -> Bytes.to_string reply
+                 | exception e -> Printexc.to_string e)));
+      Engine.run ~until:10.0 w.engine;
+      Trace.Expect.at_least ~cat:"pairmsg" ~name:"give_up" ~where:(arg_is "type" "return") 1;
+      Alcotest.(check (option string)) "answered after the heal" (Some "x") !answer)
+
 let test_watchdog_crash_within_timeout () =
   (* A mid-call crash must surface as [Crashed] no later than
      crash_timeout + one probe interval after the crash instant — the
@@ -590,6 +622,8 @@ let () =
           Alcotest.test_case "crash detected" `Quick test_crash_detected;
           Alcotest.test_case "crash mid-execution" `Quick test_crash_mid_execution_detected;
           Alcotest.test_case "probes keep slow server" `Quick test_probes_keep_slow_server_alive;
+          Alcotest.test_case "probe resumes given-up return" `Quick
+            test_return_resumes_after_give_up;
           Alcotest.test_case "crash within timeout bound" `Quick test_watchdog_crash_within_timeout;
           Alcotest.test_case "probes only after msg_acked" `Quick test_probes_only_after_msg_acked;
           Alcotest.test_case "watchdog fibers cancelled" `Quick test_watchdog_fibers_cancelled;

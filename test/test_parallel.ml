@@ -9,6 +9,7 @@ open Circus_net
 module Trace = Circus_trace.Trace
 module Tev = Circus_trace.Event
 module Export = Circus_trace.Export
+module Causal = Circus_trace.Causal
 module Plan = Circus_fault.Plan
 module Injector = Circus_fault.Injector
 
@@ -231,6 +232,40 @@ let test_domains_invariant_chaos_fixed_seed () =
   Alcotest.(check bool) "domains 1 = 2 = 4 under chaos (seed 11)" true
     (check_domain_invariance ~seed:11 ~chaos:true)
 
+(* Causal ids come from the per-LP sink, so they follow the LP across
+   runs.  Each [run] spawns fresh worker domains: ids kept per domain
+   would restart at zero on a worker and re-mint ids that already
+   exist.  Two LPs each mint a root before and after a [run ~until]
+   boundary; the four request ids must be distinct, and the merged
+   stream the same at every domain count. *)
+let causal_roots ~domains =
+  let t = Parallel.create ~seed:5 ~lps:2 ~lookahead:0.25 () in
+  Parallel.enable_tracing ~quiet:true ~causal:true t;
+  for lp = 0 to 1 do
+    List.iter
+      (fun at ->
+        ignore
+          (Engine.schedule_abs (Parallel.engine t lp) ~at (fun () ->
+               ignore (Causal.root ~host:lp "arrive"))))
+      [ 0.5; 1.5 ]
+  done;
+  Parallel.run ~until:1.0 ~domains t;
+  Parallel.run ~until:2.0 ~domains t;
+  Parallel.merged_events t
+
+let test_causal_ids_follow_lp () =
+  let d1 = causal_roots ~domains:1 in
+  let reqs = List.filter_map (fun e -> Tev.int_arg e "req") d1 in
+  Alcotest.(check int) "four roots" 4 (List.length reqs);
+  Alcotest.(check int) "distinct request ids" 4 (List.length (List.sort_uniq compare reqs));
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "domains %d = domains 1" domains)
+        (Export.jsonl_events d1)
+        (Export.jsonl_events (causal_roots ~domains)))
+    [ 2; 4 ]
+
 let prop_domains_invariant =
   QCheck.Test.make ~count:4 ~name:"equal seed => byte-identical trace for domains {1,2,4}"
     QCheck.(0 -- 10_000)
@@ -262,4 +297,6 @@ let () =
         Alcotest.test_case "fixed seed, domains 1/2/4" `Quick test_domains_invariant_fixed_seed
         :: Alcotest.test_case "fixed seed + chaos, domains 1/2/4" `Quick
              test_domains_invariant_chaos_fixed_seed
+        :: Alcotest.test_case "causal ids follow the LP across runs" `Quick
+             test_causal_ids_follow_lp
         :: qcheck [ prop_domains_invariant; prop_domains_invariant_chaos ] ) ]

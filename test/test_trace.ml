@@ -165,7 +165,6 @@ let test_disabled_is_silent () =
   Trace.stop ();
   Alcotest.(check bool) "off" false (Trace.on ());
   Trace.emit ~cat:"t" "ignored";
-  Trace.incr "ignored";
   Alcotest.(check int) "no events" 0 (List.length (Trace.events ()));
   Alcotest.(check int) "no dropped" 0 (Trace.dropped ())
 
